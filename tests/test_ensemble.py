@@ -25,8 +25,9 @@ from ousse import (
     sigma_z,
 )
 from ousse.ensemble import _tree_sum
+from ousse.model import OperatorPolynomial
 
-from conftest import random_hermitian, random_unit_state
+from conftest import random_hermitian, random_operator, random_unit_state
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -99,25 +100,50 @@ def test_reduction_options_agree_to_rounding():
     assert np.max(np.abs(a.eta - c.eta)) < 1e-12
 
 
-def test_matches_scalar_propagation():
+def _assert_matches_scalar(mode, m, initial, seed, n_traj=3):
     # the batched engine must agree with the one-path integrator row by row
     grid = TimeGrid(1e-2, 60)
-    m = make_random_hamiltonian(random_hermitian(np.random.default_rng(7), 2),
-                                random_hermitian(np.random.default_rng(8), 2), 0.7)
-    seeds = SeedPolicy(9)
-    nodes = [0, 30, 60]
-    est = run_ensemble(m, grid, 2, seeds, "linear", PLUS, output_nodes=nodes)
+    seeds = SeedPolicy(seed)
+    nodes = [0, 17, 30, 60]
+    est = run_ensemble(m, grid, n_traj, seeds, mode, initial, output_nodes=nodes)
     etas, mems, gens, ws = [], [], [], []
-    for i in range(2):
-        traj = propagate("linear", PLUS, sample_wiener(grid, seeds.stream(i)), m, grid)
-        etas.append([outer(traj.states[k]) for k in nodes])
-        mems.append([traj.X[k] * outer(traj.states[k]) for k in nodes])
-        gens.append([lindblad_apply(m, traj.X[k], outer(traj.states[k])) for k in nodes])
-        ws.append([np.vdot(traj.states[k], traj.states[k]).real for k in nodes])
+    for i in range(n_traj):
+        traj = propagate(mode, initial, sample_wiener(grid, seeds.stream(i)), m, grid)
+        rhos = [traj.matrices[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
+                for k in nodes]
+        etas.append(rhos)
+        mems.append([traj.X[k] * r for k, r in zip(nodes, rhos)])
+        gens.append([lindblad_apply(m, traj.X[k], r) for k, r in zip(nodes, rhos)])
+        ws.append([np.trace(r).real for r in rhos])
     assert np.max(np.abs(est.eta - np.mean(etas, axis=0))) < 5e-12
     assert np.max(np.abs(est.memory_term - np.mean(mems, axis=0))) < 5e-12
     assert np.max(np.abs(est.generator_mean - np.mean(gens, axis=0))) < 5e-12
     assert np.max(np.abs(est.mean_weight - np.mean(ws, axis=0))) < 5e-12
+
+
+def test_matches_scalar_propagation():
+    m = make_random_hamiltonian(random_hermitian(np.random.default_rng(7), 2),
+                                random_hermitian(np.random.default_rng(8), 2), 0.7)
+    _assert_matches_scalar("linear", m, PLUS, 9, n_traj=2)
+
+
+def _degree2_measurement_model(rng, d):
+    h = OperatorPolynomial(tuple(random_hermitian(rng, d) for _ in range(3)))
+    b = OperatorPolynomial(tuple(0.4 * random_operator(rng, d) for _ in range(3)))
+    return make_measurement_model(h, b, 0.8)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
+def test_every_mode_matches_scalar_propagation(mode):
+    # degree-2 H(x) and B(x) reach the x^4 terms of the generator
+    rng = np.random.default_rng(31)
+    if mode == "density_linear":
+        m = make_random_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), 0.6)
+    else:
+        m = _degree2_measurement_model(rng, 3)
+    psi0 = random_unit_state(rng, 3)
+    initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
+    _assert_matches_scalar(mode, m, initial, 32)
 
 
 def test_global_phase_coupling_leaves_projector_alone():
