@@ -15,12 +15,17 @@ chunk row; the chunk is then recomputed without the dead rows, the
 failure is counted, and the run aborts if more than 1% of trajectories
 diverge (silent exclusion at a higher rate would bias the averages).
 
+The generator L(x) is built once per model, in the oracle's vec
+convention, as superoperator coefficients of a polynomial in x; node
+recording and the density steps apply it to vec(rho) rows as GEMMs.
+
 Linear-mode averages are unnormalized under the reference measure: the
 mean projector, the memory term E[X rho] and the mean squared norm are
 exactly the quantities appearing in the mean-state equation and the
 martingale property, so no weight normalization is applied anywhere.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,7 +35,7 @@ from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, as_state, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
 from .noise import SeedPolicy, TimeGrid, ou_covariance, sample_ou_values, sample_wiener
-from .oracle import unvec, vec
+from .oracle import flow_coefficients, generator_coefficients, unvec, vec
 
 __all__ = [
     "EnsembleEstimate",
@@ -43,6 +48,8 @@ __all__ = [
     "observable_series",
     "ou_covariance_check",
 ]
+
+_log = logging.getLogger("ousse")
 
 _CHUNK_BUDGET = 5 * 10**7        # max floats of increment storage per chunk
 _SECOND_MOMENT_MAX_DIM = 8       # full E[vv^H] matrices kept up to this dimension
@@ -97,12 +104,6 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
     return rows
 
 
-def _vec_batch(rho: np.ndarray) -> np.ndarray:
-    """Column-stack each matrix of a (n, d, d) stack -> (n, d*d)."""
-    n, d, _ = rho.shape
-    return rho.transpose(0, 2, 1).reshape(n, d * d)
-
-
 def _apply(op, psi):
     """(d,d) or (n,d,d) operator applied to (n,d) states."""
     if op.ndim == 2:
@@ -110,13 +111,19 @@ def _apply(op, psi):
     return np.einsum("nij,nj->ni", op, psi)
 
 
-def _mul(op, rho):
-    """op @ rho with stack broadcast; op (d,d) or (n,d,d), rho (n,d,d)."""
-    return np.matmul(op, rho)
+def _poly_apply(mats_t, x, v):
+    """``sum_j x^j v @ mats_t[j]`` for a batch of row vectors: one GEMM per power."""
+    out = v @ mats_t[0]
+    xp = x
+    for mt in mats_t[1:]:
+        out += xp[:, None] * (v @ mt)
+        xp = xp * x
+    return out
 
 
-def _mulr(rho, op):
-    return np.matmul(rho, op)
+def _trace(v, d):
+    """Real trace of each column-stacked (n, d*d) row."""
+    return np.einsum("ni->n", v[:, ::d + 1].real)
 
 
 class _Stepper:
@@ -125,8 +132,9 @@ class _Stepper:
     Precomputes whatever is constant (for constant B the whole drift
     family collapses to per-power matrices) and exposes
     ``step(state, x, dw) -> (state, m_values)`` plus the matching OU
-    advance.  The arithmetic forms mirror the scalar steppers in the
-    dynamics module term by term.
+    advance.  Density states are vec(rho) rows; the vec-form generator
+    and flow coefficients are kept transposed, one GEMM per power.  The
+    arithmetic forms mirror the scalar steppers term by term.
     """
 
     def __init__(self, m: ModelSpec, mode: str):
@@ -135,15 +143,18 @@ class _Stepper:
         self.d = m.dim
         self.b_const = m.b_poly.is_constant
         self.h_const = m.h_poly.is_constant
+        self.gen_t = tuple(g.T for g in generator_coefficients(m.h_poly.coefficients,
+                                                                m.b_poly.coefficients))
+        self.flow_t = tuple(f.T for f in flow_coefficients(m.b_poly.coefficients))
         if self.b_const:
             b0 = m.b_poly.coefficients[0]
             self.b0 = b0
-            self.bb0 = dagger(b0) @ b0
             self.s0 = b0 + dagger(b0)
             self.m_zero = bool(np.all(self.s0 == 0.0))
             # drift as per-power matrices: D(x) = sum_j x^j Dj
-            self.dmats = [-1j * c for c in m.h_poly.coefficients]
-            self.dmats[0] = self.dmats[0] - 0.5 * self.bb0
+            dmats = [-1j * c for c in m.h_poly.coefficients]
+            dmats[0] = dmats[0] - 0.5 * (dagger(b0) @ b0)
+            self.dmats_t = tuple(dj.T for dj in dmats)
         else:
             self.m_zero = False
 
@@ -157,22 +168,12 @@ class _Stepper:
     def _drift_apply(self, x, psi):
         """D(x) psi without materializing (n,d,d) when B is constant."""
         if self.b_const:
-            out = psi @ self.dmats[0].T
-            xp = x
-            for dj in self.dmats[1:]:
-                out += xp[:, None] * (psi @ dj.T)
-                xp = xp * x
-            return out
+            return _poly_apply(self.dmats_t, x, psi)
         b = self.m.b_poly.at(x)
         bdag = b.conj().transpose(0, 2, 1)
         h = self.m.h_poly.coefficients[0] if self.h_const else self.m.h_poly.at(x)
         drift = -1j * h - 0.5 * np.matmul(bdag, b)
         return np.einsum("nij,nj->ni", drift, psi)
-
-    def _hermitian_family(self, x):
-        if self.h_const:
-            return self.m.h_poly.coefficients[0]
-        return self.m.h_poly.at(x)
 
     # -- state updates; each returns (state, m_values or None)
 
@@ -195,37 +196,15 @@ class _Stepper:
             out += dw[:, None] * (bp - (0.5 * mv)[:, None] * state)
             nrm = np.sqrt(np.einsum("ni,ni->n", out, np.conj(out)).real)
             return out / nrm[:, None], mv
+        # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
+        flow = _poly_apply(self.flow_t, x, state)
+        out = state + dt * _poly_apply(self.gen_t, x, state)
         if self.mode == "density_linear":
-            h = self._hermitian_family(x)
-            k = self.m.k
-            krho = _mul(k, state) - _mulr(state, k)
-            comm_h = _mul(h, state) - _mulr(state, h)
-            out = (state + dt * (-1j * comm_h - 0.5 * (_mul(k, krho) - _mulr(krho, k)))
-                   - (1j * dw)[:, None, None] * krho)
-            return out, None
-        # sme
-        b = self._diffusion(x)
-        bdag = dagger(b) if b.ndim == 2 else b.conj().transpose(0, 2, 1)
-        bb = self.bb0 if self.b_const else np.matmul(bdag, b)
-        h = self._hermitian_family(x)
-        flow = _mul(b, state) + _mulr(state, bdag)
-        mv = np.einsum("nii->n", flow).real
-        lind = (-1j * (_mul(h, state) - _mulr(state, h))
-                - 0.5 * (_mul(bb, state) + _mulr(state, bb))
-                + _mulr(_mul(b, state), bdag))
-        out = state + dt * lind + dw[:, None, None] * (flow - mv[:, None, None] * state)
-        tr = np.einsum("nii->n", out).real
-        return out / tr[:, None, None], mv
-
-    def lindblad_batch(self, x, rho):
-        """Generator values at a batch of (x, rho) pairs; (n,d,d)."""
-        b = self._diffusion(x)
-        bdag = dagger(b) if b.ndim == 2 else b.conj().transpose(0, 2, 1)
-        bb = self.bb0 if self.b_const else np.matmul(bdag, b)
-        h = self._hermitian_family(x)
-        return (-1j * (_mul(h, rho) - _mulr(rho, h))
-                - 0.5 * (_mul(bb, rho) + _mulr(rho, bb))
-                + _mulr(_mul(b, rho), bdag))
+            return out + dw[:, None] * flow, None
+        mv = _trace(flow, self.d)
+        out += dw[:, None] * (flow - mv[:, None] * state)
+        out *= (1.0 / _trace(out, self.d))[:, None]
+        return out, mv
 
 
 def _draw_chunk(seeds: SeedPolicy, lo: int, hi: int, grid: TimeGrid, level: int) -> np.ndarray:
@@ -247,7 +226,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     d = m.dim
     density = stepper.mode in ("density_linear", "sme")
     physical = stepper.mode in ("nonlinear", "sme")
-    state = np.tile(initial, (rows,) + (1,) * initial.ndim).astype(complex)
+    state = np.tile(vec(initial) if density else initial, (rows, 1)).astype(complex)
     x = np.zeros(rows)
     decay = 1.0 - m.gamma * grid_eff.dt
     dt = grid_eff.dt
@@ -264,9 +243,9 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
         p["s"] = np.zeros((n_out, d * d, d * d), dtype=complex)
 
     def record(j, state, x):
-        rho = state if density else state[:, :, None] * np.conj(state[:, None, :])
-        v = _vec_batch(rho)
-        w = np.einsum("nii->n", rho).real
+        # vector modes record vec(|psi><psi|): entry i + d*k is psi_i conj(psi_k)
+        v = state if density else (state[:, None, :] * np.conj(state[:, :, None])).reshape(rows, -1)
+        w = _trace(v, d)
         p["w"][j] = w.sum()
         p["w2"][j] = (w * w).sum()
         p["v"][j] = v.sum(axis=0)
@@ -274,7 +253,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
         p["v2"][j] = av2.sum(axis=0)
         p["xv"][j] = (x[:, None] * v).sum(axis=0)
         p["x2v2"][j] = ((x * x)[:, None] * av2).sum(axis=0)
-        lv = _vec_batch(stepper.lindblad_batch(x, rho))
+        lv = _poly_apply(stepper.gen_t, x, v)
         p["g"][j] = lv.sum(axis=0)
         p["g2"][j] = (lv.real * lv.real + lv.imag * lv.imag).sum(axis=0)
         if want_second:
@@ -295,8 +274,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
                 record(j, state, x)
                 j += 1
 
-    flat = state.reshape(rows, d * d if density else d)
-    valid = np.all(np.isfinite(flat.view(np.float64)), axis=1) & np.isfinite(x)
+    valid = np.all(np.isfinite(state.view(np.float64)), axis=1) & np.isfinite(x)
     p["n"][0] = rows
     return p, valid
 
@@ -422,9 +400,11 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         hi = min(lo + rows, n_traj)
         dws = _draw_chunk(seeds, lo, hi, grid, level)
         p, valid = _chunk_partials(stepper, grid_eff, dws, initial, out_mask, want_second)
-        if not valid.all():
-            bad = np.flatnonzero(~valid)
-            diverged.extend(int(i) for i in (lo + bad))
+        bad = lo + np.flatnonzero(~valid)
+        _log.debug("chunk rows [%d, %d): %d reruns, %d diverged",
+                   lo, hi, int(bad.size > 0), bad.size)
+        if bad.size:
+            diverged.extend(int(i) for i in bad)
             if len(diverged) > 0.01 * n_traj:
                 raise DivergenceError(
                     f"{len(diverged)} of {n_traj} trajectories diverged (> 1%); "

@@ -18,6 +18,8 @@ from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance
 __all__ = [
     "Liouvillian",
     "build_liouvillian",
+    "generator_coefficients",
+    "flow_coefficients",
     "propagate_lindblad",
     "dephasing_coherence",
     "vec",
@@ -52,6 +54,29 @@ class Liouvillian:
         return unvec(self.matrix @ vec(rho), self.dim)
 
 
+def generator_coefficients(h_coeffs, b_coeffs) -> tuple:
+    """Vec-form coefficients ``G_j`` with ``vec(L(x) rho) = sum_j x^j G_j vec(rho)``.
+
+    ``L(x)`` is the generator of ``build_liouvillian`` for ``H(x) = sum_k
+    x^k h_k`` and ``B(x) = sum_k x^k b_k``; the ``b_l^dag b_k`` and ``b_k rho
+    b_l^dag`` terms sit at power ``k + l``, so the degree is at most 4.
+    """
+    g = [None] * max(len(h_coeffs), 2 * len(b_coeffs) - 1)
+    for j, h in enumerate(h_coeffs):
+        g[j] = -1j * (_left(h) - _right(h))
+    for k, bk in enumerate(b_coeffs):
+        for l, bl in enumerate(b_coeffs):
+            bb = dagger(bl) @ bk
+            half = 0.5 * (_left(bb) + _right(bb))
+            g[k + l] = (-half if g[k + l] is None else g[k + l] - half) + np.kron(np.conj(bl), bk)
+    return tuple(g)
+
+
+def flow_coefficients(b_coeffs) -> tuple:
+    """Vec-form coefficients of ``rho -> B(x) rho + rho B(x)^dag``, one per power."""
+    return tuple(_left(b) + _right(dagger(b)) for b in b_coeffs)
+
+
 def build_liouvillian(h, b) -> Liouvillian:
     """Matrix form of ``rho -> -i[H,rho] - 1/2 {B^dag B, rho} + B rho B^dag``.
 
@@ -67,13 +92,7 @@ def build_liouvillian(h, b) -> Liouvillian:
     tol = hermitian_tolerance(h)
     if res > tol:
         raise ValidationError(f"H is not hermitian: residual {res:.3e} exceeds {tol:.3e}")
-    bb = dagger(b) @ b
-    mat = (
-        -1j * (_left(h) - _right(h))
-        - 0.5 * (_left(bb) + _right(bb))
-        + np.kron(np.conj(b), b)
-    )
-    return Liouvillian(mat, h.shape[0])
+    return Liouvillian(generator_coefficients((h,), (b,))[0], h.shape[0])
 
 
 def propagate_lindblad(liou: Liouvillian, rho0, t: float) -> np.ndarray:

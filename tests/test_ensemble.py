@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,20 @@ def test_bitwise_determinism():
     # a different master seed must actually change the draw
     c = run_ensemble(m, grid, 150, SeedPolicy(5), "linear", PLUS)
     assert not np.array_equal(a.eta, c.eta)
+
+
+def test_chunk_progress_logs_at_debug_only(caplog, capsys):
+    grid = TimeGrid(1e-2, 20)
+    run_ensemble(dephasing_model(), grid, 150, SeedPolicy(4), "linear", PLUS, chunk_size=64)
+    assert capsys.readouterr() == ("", "")
+    assert not logging.getLogger("ousse").handlers
+    with caplog.at_level(logging.DEBUG, logger="ousse"):
+        run_ensemble(dephasing_model(), grid, 150, SeedPolicy(4), "linear", PLUS, chunk_size=64)
+    assert [r.getMessage() for r in caplog.records if r.name == "ousse"] == [
+        "chunk rows [0, 64): 0 reruns, 0 diverged",
+        "chunk rows [64, 128): 0 reruns, 0 diverged",
+        "chunk rows [128, 150): 0 reruns, 0 diverged",
+    ]
 
 
 def test_reduction_options_agree_to_rounding():

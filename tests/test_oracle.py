@@ -19,7 +19,9 @@ from ousse import (
     vec,
 )
 
-from conftest import random_hermitian, random_operator
+from ousse.oracle import generator_coefficients
+
+from conftest import random_hermitian, random_model, random_operator
 
 
 def test_vec_unvec_roundtrip():
@@ -48,6 +50,30 @@ def test_liouvillian_matches_direct_generator():
                 via_matrix = unvec(liou.matrix @ vec(e), d)
                 assert np.max(np.abs(direct - via_matrix)) <= 1e-12
                 assert np.max(np.abs(liou.apply(e) - direct)) <= 1e-12
+
+
+def test_generator_coefficients_match_lindblad_apply():
+    # sum_j x^j G_j vec(rho) is the generator for every degree pair, up to x^4
+    rng = np.random.default_rng(41)
+    degrees = set()
+    for kind in ("random_hamiltonian", "measurement"):
+        for d in (2, 3, 4):
+            for gamma in (0.0, None, None, None, None, None, None, None):
+                m = random_model(rng, d=d, kind=kind, gamma=gamma)
+                h, b = m.h_poly.coefficients, m.b_poly.coefficients
+                degrees.add((len(h) - 1, len(b) - 1))
+                coeffs = generator_coefficients(h, b)
+                assert len(coeffs) == max(len(h), 2 * len(b) - 1)
+                v = vec(random_operator(rng, d))
+                for x in (-2.0, 0.0, 0.7, 3.0):
+                    terms = [x**j * (g @ v) for j, g in enumerate(coeffs)]
+                    scale = sum(abs(x) ** j * np.max(np.abs(g) @ np.abs(v))
+                                for j, g in enumerate(coeffs))
+                    want = vec(lindblad_apply(m, x, unvec(v, d)))
+                    assert np.max(np.abs(sum(terms) - want)) <= 1e-12 * scale
+                if len(coeffs) == 1:
+                    assert np.array_equal(coeffs[0], build_liouvillian(h[0], b[0]).matrix)
+    assert degrees >= {(0, 0), (1, 0), (2, 2), (0, 2), (2, 0)}
 
 
 def test_build_liouvillian_validation():
