@@ -5,8 +5,9 @@ helpers), ``noise`` (time grids, seeding, Wiener/OU sampling),
 ``model`` (operator polynomials and the consistency condition),
 ``dynamics`` (single-trajectory Euler steppers and the propagator),
 ``ensemble`` (deterministic Monte Carlo averages and checks),
-``oracle`` (independent closed-form references) and ``cli``/``config``
-(the command-line surface).
+``oracle`` (independent closed-form references), ``parallel`` (chunk
+maps over worker processes) and ``cli``/``config`` (the command-line
+surface).
 """
 
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError

@@ -14,7 +14,6 @@ failure.
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -30,7 +29,7 @@ from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_
                        run_ensemble)
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
 from .model import diffusion_operator, drift_operator, consistency_residual
-from .noise import SeedPolicy, TimeGrid, ou_covariance, sample_ou_values
+from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
 from .oracle import build_liouvillian, propagate_lindblad
 
 __all__ = ["main", "cmd_simulate", "cmd_verify", "cmd_covariance"]
@@ -88,11 +87,12 @@ def _series_header(dim: int, observables) -> list:
     return cols
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
     est = run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
                        cfg.mode, cfg.initial,
-                       output_nodes=(cfg.output_nodes or None), level=cfg.level)
+                       output_nodes=(cfg.output_nodes or None), level=cfg.level,
+                       workers=workers)
     series = {name: observable_series(est, o) for name, o in cfg.observables}
     elapsed = time.perf_counter() - t0
 
@@ -149,7 +149,7 @@ def _consistency_report(cfg: ExperimentConfig) -> CheckReport:
                        {"perturb_drift_epsilon": eps, "x_range": [-5.0, 5.0], "points": 21})
 
 
-def _reference_estimate(cfg: ExperimentConfig):
+def _reference_estimate(cfg: ExperimentConfig, workers):
     if cfg.initial.ndim == 1:
         mode = "linear"
     elif cfg.model.kind == "random_hamiltonian":
@@ -161,7 +161,7 @@ def _reference_estimate(cfg: ExperimentConfig):
         )
     return run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
                         mode, cfg.initial, output_nodes=(cfg.output_nodes or None),
-                        level=cfg.level)
+                        level=cfg.level, workers=workers)
 
 
 def _lindblad_oracle_report(cfg: ExperimentConfig, est) -> CheckReport:
@@ -190,7 +190,7 @@ def _covariance_nodes(grid: TimeGrid, points: int = 5):
     return ks
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
     reports = []
     est = None
@@ -198,7 +198,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     def reference():
         nonlocal est
         if est is None:
-            est = _reference_estimate(cfg)
+            est = _reference_estimate(cfg, workers)
         return est
 
     for suite in cfg.checks.suites:
@@ -213,7 +213,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
             reports.append(ou_covariance_check(
                 SeedPolicy(cfg.master_seed).substream("verify-ou"), cfg.grid,
                 cfg.model.gamma, cfg.checks.covariance_n_paths,
-                _covariance_nodes(cfg.grid)))
+                _covariance_nodes(cfg.grid), workers=workers))
         elif suite == "girsanov":
             if cfg.initial.ndim != 1:
                 raise ValidationError(
@@ -227,7 +227,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
                 cfg.model, cfg.grid, cfg.n_traj,
                 SeedPolicy(cfg.master_seed).substream("verify-girsanov"),
                 obs, list(cfg.checks.girsanov_times), cfg.initial,
-                c_disc=cfg.checks.c_disc, level=cfg.level))
+                c_disc=cfg.checks.c_disc, level=cfg.level, workers=workers))
         elif suite == "lindblad_oracle":
             reports.append(_lindblad_oracle_report(cfg, reference()))
 
@@ -257,9 +257,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
 # covariance
 
 def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: int,
-                   out_dir: str, points: int = 5) -> int:
-    if not (gamma >= 0 and math.isfinite(gamma)):
-        raise ValidationError(f"gamma must be a finite number >= 0, got {gamma}")
+                   out_dir: str, points: int = 5, workers=None) -> int:
     if dt <= 0 or horizon <= 0:
         raise ValidationError("dt and T must be > 0")
     n_steps = int(round(horizon / dt))
@@ -268,11 +266,10 @@ def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: 
     if n_paths < 2:
         raise ValidationError(f"need at least 2 paths, got {n_paths}")
     grid = TimeGrid(dt, n_steps)
-    if gamma * dt >= 1.0:
-        raise ValidationError(f"gamma*dt = {gamma * dt:.3g} >= 1: unstable step")
-
     nodes = np.asarray(_covariance_nodes(grid, points), dtype=int)
-    samples = sample_ou_values(SeedPolicy(seed), grid, gamma, n_paths, nodes)
+    # gamma and gamma*dt are checked by the sampler
+    estimates = ou_covariance_estimates(SeedPolicy(seed), grid, gamma, n_paths, nodes,
+                                        workers=workers)
     times = nodes * dt
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "covariance.csv")
@@ -280,10 +277,7 @@ def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: 
         f.write("t,s,analytic,empirical,stderr\n")
         for a in range(nodes.size):
             for b in range(a + 1):
-                prod = samples[:, a] * samples[:, b]
-                emp = float(prod.mean())
-                se = float(prod.std(ddof=1) / math.sqrt(n_paths))
-                ana = float(ou_covariance(float(times[a]), float(times[b]), gamma))
+                ana, emp, se = estimates[b, a]
                 f.write(",".join([_fmt(times[a]), _fmt(times[b]), _fmt(ana),
                                   _fmt(emp), _fmt(se)]) + "\n")
     print(f"wrote {path} ({nodes.size * (nodes.size + 1) // 2} pairs, {n_paths} paths)")
@@ -295,6 +289,10 @@ def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: 
 
 class _UsageError(Exception):
     pass
+
+
+_THREADS_HELP = ("worker processes (default: every usable CPU), capped at the usable CPUs "
+                 "and at the run's chunks; never changes results")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -309,14 +307,13 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="run an ensemble and write the time series")
     sim.add_argument("--config", required=True, help="path to a JSON experiment config")
     sim.add_argument("--seed", type=int, default=None, help="override run.master_seed")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="scheduling hint; never changes results")
+    sim.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sim.add_argument("--out", default=None, help="output directory (default: from config)")
 
     ver = sub.add_parser("verify", help="run the structural check battery")
     ver.add_argument("--config", required=True)
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=None)
+    ver.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     ver.add_argument("--out", default=None)
 
     cov = sub.add_parser("covariance", help="tabulate OU covariance, closed form vs sampled")
@@ -326,7 +323,7 @@ def _build_parser() -> _Parser:
     cov.add_argument("--n-paths", type=int, default=100000)
     cov.add_argument("--seed", type=int, default=0)
     cov.add_argument("--points", type=int, default=5)
-    cov.add_argument("--threads", type=int, default=None)
+    cov.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     cov.add_argument("--out", default=".")
     return p
 
@@ -351,15 +348,18 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
+    if args.threads is not None and args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     try:
         if args.command == "covariance":
             return cmd_covariance(args.gamma, args.tmax, args.dt, args.n_paths,
-                                  args.seed, args.out, args.points)
+                                  args.seed, args.out, args.points, args.threads)
         cfg = _load_config(args)
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        return cmd_verify(cfg, out_dir)
+            return cmd_simulate(cfg, out_dir, args.threads)
+        return cmd_verify(cfg, out_dir, args.threads)
     except ConfigError as e:
         for line in e.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -34,8 +34,9 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, as_state, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
-from .noise import SeedPolicy, TimeGrid, ou_covariance, sample_ou_values, sample_wiener
+from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates, sample_wiener_rows
 from .oracle import flow_coefficients, generator_coefficients, unvec, vec
+from .parallel import map_chunks, worker_count
 
 __all__ = [
     "EnsembleEstimate",
@@ -207,14 +208,6 @@ class _Stepper:
         return out, mv
 
 
-def _draw_chunk(seeds: SeedPolicy, lo: int, hi: int, grid: TimeGrid, level: int) -> np.ndarray:
-    n_eff = grid.n_steps << level
-    dws = np.empty((hi - lo, n_eff))
-    for i in range(lo, hi):
-        dws[i - lo] = sample_wiener(grid, seeds.stream(i), level)
-    return dws
-
-
 def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, want_second):
     """Propagate one chunk and accumulate sums at the flagged nodes.
 
@@ -340,14 +333,16 @@ def _entry_se(sum2, mean_abs2, n):
 
 def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, mode: str,
                  initial, *, output_nodes=None, level: int = 0, chunk_size: int = 4096,
-                 compensated: bool = True) -> EnsembleEstimate:
+                 compensated: bool = True, workers=None) -> EnsembleEstimate:
     """Propagate ``n_traj`` trajectories and average at the output nodes.
 
     ``output_nodes`` are node indices of the base grid (default: every
     node up to 200, then a uniform stride), and ``level`` halves every
     step that many times via bridge refinement of the same per-stream
     noise, so runs at different levels share their Brownian paths and
-    report at identical times.
+    report at identical times.  Chunks run on up to ``workers``
+    processes (see :mod:`ousse.parallel`); their partials are merged
+    here in chunk order, so the estimate does not depend on it.
     """
     from .dynamics import MODES  # cycle-free: dynamics does not import ensemble
 
@@ -393,30 +388,39 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     stepper = _Stepper(m, mode)
     want_second = m.dim <= _SECOND_MOMENT_MAX_DIM
     rows = _chunk_rows(chunk_size, grid_eff.n_steps)
+    bounds = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
+    n_workers = worker_count(workers, len(bounds))
 
-    parts = []
-    diverged = []
-    for lo in range(0, n_traj, rows):
-        hi = min(lo + rows, n_traj)
-        dws = _draw_chunk(seeds, lo, hi, grid, level)
+    def chunk(lo, hi):
+        """(partials or None if a rerun diverged again, diverged row indices)."""
+        dws = sample_wiener_rows(seeds, grid, lo, hi, level)
         p, valid = _chunk_partials(stepper, grid_eff, dws, initial, out_mask, want_second)
         bad = lo + np.flatnonzero(~valid)
-        _log.debug("chunk rows [%d, %d): %d reruns, %d diverged",
-                   lo, hi, int(bad.size > 0), bad.size)
-        if bad.size:
-            diverged.extend(int(i) for i in bad)
-            if len(diverged) > 0.01 * n_traj:
-                raise DivergenceError(
-                    f"{len(diverged)} of {n_traj} trajectories diverged (> 1%); "
-                    f"refine the grid or check the model"
-                )
-            # divergence is row-local and deterministic, so a rerun on the
-            # surviving rows reproduces them exactly
+        # divergence is row-local and deterministic, so a rerun on the
+        # surviving rows reproduces them exactly; past 1% the run aborts
+        if bad.size and bad.size <= 0.01 * n_traj:
             p, valid2 = _chunk_partials(stepper, grid_eff, dws[valid], initial, out_mask,
                                         want_second)
             if not valid2.all():
-                raise DivergenceError("trajectories diverged irreproducibly across reruns")
-        parts.append(p)
+                p = None
+        return p, bad
+
+    parts = []
+    diverged = []
+    with map_chunks(chunk, bounds, n_workers) as results:
+        for (lo, hi), (p, bad) in zip(bounds, results):
+            _log.debug("chunk rows [%d, %d): %d reruns, %d diverged",
+                       lo, hi, int(bad.size > 0), bad.size)
+            if bad.size:
+                diverged.extend(int(i) for i in bad)
+                if len(diverged) > 0.01 * n_traj:
+                    raise DivergenceError(
+                        f"{len(diverged)} of {n_traj} trajectories diverged (> 1%); "
+                        f"refine the grid or check the model"
+                    )
+                if p is None:
+                    raise DivergenceError("trajectories diverged irreproducibly across reruns")
+            parts.append(p)
 
     total = {k: _tree_sum([p[k] for p in parts], compensated) for k in parts[0]}
     n = int(round(float(total["n"][0])))
@@ -511,7 +515,7 @@ def martingale_check(est: EnsembleEstimate, c_disc: float = 5.0) -> CheckReport:
 
 def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy,
                         observable, t_list, initial, *, c_disc: float = 5.0,
-                        level: int = 0, chunk_size: int = 4096) -> CheckReport:
+                        level: int = 0, chunk_size: int = 4096, workers=None) -> CheckReport:
     """Weighted reference-measure vs physical-measure estimates of one mean.
 
     The two sides use independent substreams of ``seeds`` and are
@@ -521,9 +525,11 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
     o = as_operator(observable)
     nodes = _times_to_nodes(t_list, grid)
     est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), "linear",
-                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size)
+                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size,
+                         workers=workers)
     est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), "nonlinear",
-                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size)
+                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size,
+                         workers=workers)
     series_q = observable_series(est_q, o)
     series_p = observable_series(est_p, o)
     dt = est_q.grid.dt
@@ -618,30 +624,25 @@ def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.
 
 def ou_covariance_check(seeds: SeedPolicy, grid: TimeGrid, gamma: float, n_paths: int,
                         t_nodes, *, frac_required: float = 0.95,
-                        chunk_size: int = 4096) -> CheckReport:
+                        chunk_size: int = 4096, workers=None) -> CheckReport:
     """Empirical OU covariance on a (t, s) grid against the closed form.
 
-    The process has known zero mean, so the uncentred product estimator
-    is used; its standard error comes from the empirical fourth
-    moments.  A point passes at 3 stderr; the check passes when at
-    least ``frac_required`` of the points do.
+    The estimates are :func:`ousse.noise.ou_covariance_estimates`.  A
+    point passes at 3 stderr; the check passes when at least
+    ``frac_required`` of the points do.
     """
     nodes = np.asarray(sorted(set(int(k) for k in t_nodes)), dtype=int)
-    samples = sample_ou_values(seeds, grid, gamma, n_paths, nodes, chunk_size=chunk_size)
+    estimates = ou_covariance_estimates(seeds, grid, gamma, n_paths, nodes,
+                                        chunk_size=chunk_size, workers=workers)
     times = nodes * grid.dt
     entries = []
     n_pass = 0
-    for a in range(nodes.size):
-        for b in range(a, nodes.size):
-            prod = samples[:, a] * samples[:, b]
-            emp = float(prod.mean())
-            se = float(prod.std(ddof=1) / math.sqrt(n_paths))
-            ana = ou_covariance(float(times[a]), float(times[b]), gamma)
-            dev = abs(emp - ana)
-            ok = dev <= 3.0 * se
-            n_pass += ok
-            entries.append(CheckEntry(f"cov({times[a]:g},{times[b]:g})", float(times[b]),
-                                      dev, 3.0 * se, ok))
+    for (a, b), (ana, emp, se) in estimates.items():
+        dev = abs(emp - ana)
+        ok = dev <= 3.0 * se
+        n_pass += ok
+        entries.append(CheckEntry(f"cov({times[a]:g},{times[b]:g})", float(times[b]),
+                                  dev, 3.0 * se, ok))
     frac = n_pass / len(entries)
     passed = frac >= frac_required
     return CheckReport("ou_covariance", passed, tuple(entries),

@@ -28,11 +28,13 @@ the same expression so that single-path and ensemble runs agree
 bitwise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .parallel import map_chunks, worker_count
 
 __all__ = [
     "TimeGrid",
@@ -45,7 +47,9 @@ __all__ = [
     "ou_path",
     "ou_path_physical",
     "ou_covariance",
+    "ou_covariance_estimates",
     "sample_ou_values",
+    "sample_wiener_rows",
 ]
 
 _MASK = (1 << 64) - 1
@@ -277,6 +281,19 @@ def ou_covariance(t, s, gamma: float):
     return out
 
 
+def sample_wiener_rows(policy: SeedPolicy, grid: TimeGrid, lo: int, hi: int,
+                       level: int = 0) -> np.ndarray:
+    """Wiener increments of streams ``lo .. hi-1`` of ``policy``, one row each.
+
+    Row ``i - lo`` is :func:`sample_wiener` on stream ``i``, so a row
+    does not depend on the range it was drawn in.
+    """
+    dws = np.empty((hi - lo, grid.n_steps << level))
+    for i in range(lo, hi):
+        dws[i - lo] = sample_wiener(grid, policy.stream(i), level)
+    return dws
+
+
 def sample_ou_values(
     policy: SeedPolicy,
     grid: TimeGrid,
@@ -284,12 +301,15 @@ def sample_ou_values(
     n_paths: int,
     at_indices=None,
     chunk_size: int = 4096,
+    workers=None,
 ) -> np.ndarray:
     """OU path values for many trajectories, shape ``(n_paths, len(at_indices))``.
 
     Row ``i`` is driven by stream ``i`` of ``policy`` with the same
     draw order as the single-path functions, so any row can be replayed
-    in isolation.  ``at_indices`` defaults to every grid node.
+    in isolation.  ``at_indices`` defaults to every grid node.  Rows are
+    drawn in chunks of at most ``chunk_size`` on up to ``workers``
+    processes (see :mod:`ousse.parallel`); neither changes a bit.
     """
     gamma = _check_gamma(gamma, grid.dt)
     if at_indices is None:
@@ -297,15 +317,17 @@ def sample_ou_values(
     idx = np.asarray(at_indices, dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() > grid.n_steps):
         raise ValidationError(f"output indices must lie in [0, {grid.n_steps}]")
-    out = np.empty((n_paths, idx.size))
+    n_chunks = max(1, -(-n_paths // chunk_size))
+    n_workers = worker_count(workers, n_chunks)
+    # rows are independent, so equal chunks, as many for every worker,
+    # balance the pool without changing a bit
+    n_chunks = -(-n_chunks // n_workers) * n_workers
     decay = 1.0 - gamma * grid.dt
     want = np.zeros(grid.n_steps + 1, dtype=bool)
     want[idx] = True
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        dw = np.empty((hi - lo, grid.n_steps))
-        for i in range(lo, hi):
-            dw[i - lo] = np.sqrt(grid.dt) * gaussians(policy.stream(i), grid.n_steps)
+
+    def chunk(lo, hi):
+        dw = sample_wiener_rows(policy, grid, lo, hi)
         x = np.zeros(hi - lo)
         cols = {}
         if want[0]:
@@ -314,6 +336,33 @@ def sample_ou_values(
             x = decay * x + dw[:, k]
             if want[k + 1]:
                 cols[k + 1] = x.copy()
+        out = np.empty((hi - lo, idx.size))
         for j, node in enumerate(idx):
-            out[lo:hi, j] = cols[node]
+            out[:, j] = cols[node]
+        return out
+
+    bounds = [(n_paths * c // n_chunks, n_paths * (c + 1) // n_chunks) for c in range(n_chunks)]
+    with map_chunks(chunk, bounds, n_workers) as results:
+        return np.concatenate(list(results))
+
+
+def ou_covariance_estimates(policy: SeedPolicy, grid: TimeGrid, gamma: float, n_paths: int,
+                            nodes, *, chunk_size: int = 4096, workers=None) -> dict:
+    """Sampled and closed-form OU covariance at every node pair ``a <= b``.
+
+    Returns ``{(a, b): (analytic, empirical, stderr)}`` for the sorted
+    grid ``nodes``.  The process has known zero mean, so the uncentred
+    product estimator is used; its standard error comes from the
+    empirical fourth moments.
+    """
+    nodes = np.asarray(nodes, dtype=int)
+    samples = sample_ou_values(policy, grid, gamma, n_paths, nodes, chunk_size=chunk_size,
+                               workers=workers)
+    times = nodes * grid.dt
+    out = {}
+    for a in range(nodes.size):
+        for b in range(a, nodes.size):
+            prod = samples[:, a] * samples[:, b]
+            out[a, b] = (ou_covariance(float(times[a]), float(times[b]), gamma),
+                         float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(n_paths)))
     return out

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from ousse import ConfigError, dephasing_coherence, parse_config
+from ousse import parallel
 from ousse.cli import main
 
 I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -171,6 +173,44 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert (a / "series.csv").read_bytes() == (d / "series.csv").read_bytes()
 
 
+def test_threads_do_not_change_output_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # 4200 trajectories and paths: two chunks of at most 4096 each
+    doc = dephasing_doc(n_traj=4200, dt=1e-2, T=0.1)
+    doc["checks"] = {"suites": ["martingale", "covariance", "mean_equation", "girsanov"],
+                     "covariance_n_paths": 4200}
+    cfg_path = write_config(tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        flag = ["--threads", threads]
+        assert main(["simulate", "--config", cfg_path, "--out", str(out), *flag]) == 0
+        assert main(["verify", "--config", cfg_path, "--out", str(out), *flag]) == 0
+        assert main(["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01",
+                     "--n-paths", "4200", "--seed", "3", "--out", str(out), *flag]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report.pop("timings")
+        outputs.append(((out / "series.csv").read_bytes(), json.dumps(report),
+                        (out / "covariance.csv").read_bytes()))
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1]
+
+
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr("os.fork", no_fork)
+    cfg_path = write_config(tmp_path, dephasing_doc(n_traj=8, T=0.1))
+    for threads in ("0", "-1"):
+        for argv in (["simulate", "--config", cfg_path], ["verify", "--config", cfg_path],
+                     ["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01"]):
+            assert main([*argv, "--threads", threads, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert f"error: --threads must be >= 1, got {threads}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_zero_model_columns_constant(tmp_path):
     doc = dephasing_doc(n_traj=16)
     doc["model"]["K"]["coefficients"] = [Z2]
@@ -250,6 +290,17 @@ def test_covariance_subcommand(tmp_path):
     for line in rows0:
         t, s, ana = map(float, line.split(",")[:3])
         assert ana == pytest.approx(min(t, s), abs=1e-15)
+
+
+def test_covariance_rejects_bad_gamma(tmp_path, capsys):
+    base = ["covariance", "--tmax", "1.0", "--dt", "0.01", "--n-paths", "100",
+            "--out", str(tmp_path / "o")]
+    assert main([*base, "--gamma", "100"]) == 1          # gamma * dt = 1
+    assert "unstable" in capsys.readouterr().err
+    for gamma in ("-1", "nan", "inf"):
+        assert main([*base, "--gamma", gamma]) == 1
+        assert "gamma must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_error_codes(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
 import logging
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from ousse import (
     DivergenceError,
+    EnsembleEstimate,
     SeedPolicy,
     TimeGrid,
     ValidationError,
@@ -26,6 +29,7 @@ from ousse import (
     sigma_x,
     sigma_z,
 )
+from ousse import parallel
 from ousse.ensemble import _tree_sum
 from ousse.model import OperatorPolynomial
 
@@ -104,6 +108,83 @@ def test_chunk_progress_logs_at_debug_only(caplog, capsys):
         "chunk rows [64, 128): 0 reruns, 0 diverged",
         "chunk rows [128, 150): 0 reruns, 0 diverged",
     ]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let runs use two worker processes even on a one-CPU host."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+
+def assert_same_estimate(a, b):
+    for f in dataclasses.fields(EnsembleEstimate):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("mode, dim, chunk_size", [
+    ("linear", 2, 64), ("nonlinear", 2, 64), ("density_linear", 2, 64), ("sme", 2, 64),
+    # (2048, 16) @ (16, 16) products are large enough for a threaded BLAS,
+    # which workers run on one thread
+    ("sme", 4, 2048),
+])
+def test_workers_do_not_change_a_bit(mode, dim, chunk_size, two_cpus):
+    rng = np.random.default_rng(41)
+    if mode == "density_linear":
+        m = make_random_hamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.6)
+    else:
+        m = _degree2_measurement_model(rng, dim)
+    psi0 = random_unit_state(rng, dim)
+    initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
+    grid = TimeGrid(1e-2, 30)
+    n_traj = 2 * chunk_size + 8
+    runs = [run_ensemble(m, grid, n_traj, SeedPolicy(42), mode, initial, chunk_size=chunk_size,
+                         workers=w) for w in (1, 2)]
+    assert runs[0].n_used == n_traj
+    assert_same_estimate(*runs)
+    assert multiprocessing.active_children() == []
+
+
+def explosive_model():
+    # B(x) = 0.7 x^2 I drives x by 1.4 x^2 dt under the physical measure:
+    # the rows whose x wanders high blow up, the rest stay bounded
+    z = np.zeros((2, 2))
+    return make_measurement_model(z, OperatorPolynomial((z, z, 0.7 * np.eye(2))), 1.0)
+
+
+def test_divergence_is_independent_of_workers(two_cpus):
+    grid = TimeGrid(1e-2, 100)
+    runs = [run_ensemble(explosive_model(), grid, 640, SeedPolicy(2), "nonlinear", E0,
+                         chunk_size=64, workers=w) for w in (1, 2)]
+    # every diverged row lies past the first chunk of 64
+    assert runs[0].diverged == (238, 287, 386, 462)
+    assert runs[0].n_used == 636
+    assert_same_estimate(*runs)
+    assert multiprocessing.active_children() == []
+    # rows 133, 221, 261 and 312 diverge: the abort comes at the fifth chunk
+    messages = []
+    for w in (1, 2):
+        with pytest.raises(DivergenceError) as err:
+            run_ensemble(explosive_model(), grid, 320, SeedPolicy(6), "nonlinear", E0,
+                         chunk_size=64, workers=w)
+        messages.append(str(err.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["4 of 320 trajectories diverged (> 1%); refine the grid or check the model"] * 2
+
+
+def test_workers_must_be_positive(monkeypatch):
+    def no_fork():
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr("os.fork", no_fork)
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="workers"):
+            run_ensemble(dephasing_model(), TimeGrid(1e-2, 5), 200, SeedPolicy(1), "linear",
+                         PLUS, chunk_size=64, workers=bad)
 
 
 def test_reduction_options_agree_to_rounding():

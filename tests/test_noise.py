@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from ousse import parallel
 from ousse import (
     NoisePath,
     SeedPolicy,
@@ -183,6 +185,18 @@ def test_sample_ou_values_matches_scalar_path():
     for i in range(5):
         x = ou_path(sample_wiener(grid, pol.stream(i)), 0.9, grid)
         assert vals[i, 0] == x[10] and vals[i, 1] == x[40]
+
+
+def test_sample_ou_values_is_independent_of_workers_and_chunks(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    grid = TimeGrid(0.01, 40)
+    runs = [sample_ou_values(SeedPolicy(8), grid, 0.9, 230, [0, 7, 40], chunk_size=c, workers=w)
+            for c, w in ((50, 1), (50, 2), (4096, 1))]
+    assert runs[0].shape == (230, 3)
+    assert all(r.tobytes() == runs[0].tobytes() for r in runs[1:])
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValidationError, match="workers"):
+        sample_ou_values(SeedPolicy(8), grid, 0.9, 230, [7], workers=0)
 
 
 def test_noise_path_type():
