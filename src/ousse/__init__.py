@@ -3,7 +3,8 @@
 The package splits into a small stack: ``linalg`` (dense operator
 helpers), ``noise`` (time grids, seeding, Wiener/OU sampling),
 ``model`` (operator polynomials and the consistency condition),
-``dynamics`` (single-trajectory Euler steppers and the propagator),
+``dynamics`` (the one Euler-Maruyama step kernel per mode, batched over
+rows, and the single-trajectory propagator on top of it),
 ``ensemble`` (deterministic Monte Carlo averages and checks),
 ``oracle`` (independent closed-form references), ``parallel`` (chunk
 maps over worker processes) and ``cli``/``config`` (the command-line

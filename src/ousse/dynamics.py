@@ -8,9 +8,14 @@ Modes
                     measurement drift m = <B + B^dag> feeds back into
                     both the state update and the OU path
 ``density_linear``  density-matrix form of the linear equation
-                    (random_hamiltonian kind only, commutator form)
+                    (random_hamiltonian kind only)
 ``sme``             nonlinear stochastic master equation with trace
                     renormalization after every step
+
+Each mode's step is written once, in ``_Stepper``, for a batch of rows:
+state vectors, or column-stacked vec(rho) in the density modes.
+``run_ensemble`` steps whole chunks through it; ``propagate`` and the
+``step_*`` functions are one-row calls that add the per-step gates.
 
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
@@ -20,14 +25,16 @@ accuracy is checked by convergence-order tests, not by higher-order
 steppers.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, as_state, dagger, matrix_exp
-from .model import ModelSpec, diffusion_operator, drift_operator
-from .noise import NoisePath, TimeGrid, ou_path, sample_wiener
+from .model import ModelSpec
+from .noise import NoisePath, TimeGrid, _check_gamma, sample_wiener
+from .oracle import flow_coefficients, generator_coefficients, unvec, vec
 
 __all__ = [
     "Trajectory",
@@ -74,18 +81,178 @@ class DensityTrajectory:
         return self.grid.times
 
 
-def _finite(arr) -> bool:
-    return bool(np.all(np.isfinite(arr.view(float))))
+# ---------------------------------------------------------------------------
+# the step kernel
+
+def _apply(op, psi):
+    """(d,d) or (n,d,d) operator applied to (n,d) states."""
+    if op.ndim == 2:
+        return psi @ op.T
+    return np.einsum("nij,nj->ni", op, psi)
+
+
+def _poly_apply(mats_t, x, v):
+    """``sum_j x^j v @ mats_t[j]`` for a batch of row vectors: one GEMM per power."""
+    out = v @ mats_t[0]
+    xp = x
+    for mt in mats_t[1:]:
+        out += xp[:, None] * (v @ mt)
+        xp = xp * x
+    return out
+
+
+def _trace(v, d):
+    """Real trace of each column-stacked (n, d*d) row."""
+    return np.einsum("ni->n", v[:, ::d + 1].real)
+
+
+class _Stepper:
+    """One Euler-Maruyama step of a batch of rows and their OU values.
+
+    ``step(state, x, dw, dt)`` returns ``(state, x, m_values, scale)``:
+    the stepped rows; the next OU values, ``decay x + m dt + dw`` under
+    the physical measure and ``decay x + dw`` otherwise; the
+    measurement drift at the step start (None in the linear modes); and
+    the norm (``nonlinear``) or trace (``sme``) the rows were divided
+    by (None in the linear modes).  Whatever is constant is precomputed:
+    for constant B the drift family collapses to per-power matrices.
+    The vec-form generator and flow coefficients are built on first use
+    (density steps and node recording) and kept transposed, one GEMM
+    per power.
+    """
+
+    def __init__(self, m: ModelSpec, mode: str):
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if mode == "density_linear" and m.kind != "random_hamiltonian":
+            raise ValidationError(
+                f"density_linear integrates the commutator-form equation, which needs the "
+                f"random_hamiltonian kind; got {m.kind!r}"
+            )
+        self.m = m
+        self.mode = mode
+        self.d = m.dim
+        self.density = mode in ("density_linear", "sme")
+        self.b_const = m.b_poly.is_constant
+        self.h_const = m.h_poly.is_constant
+        if self.b_const:
+            b0 = m.b_poly.coefficients[0]
+            self.b0 = b0
+            self.s0 = b0 + dagger(b0)
+            self.m_zero = bool(np.all(self.s0 == 0.0))
+            # drift as per-power matrices: D(x) = sum_j x^j Dj
+            dmats = [-1j * c for c in m.h_poly.coefficients]
+            dmats[0] = dmats[0] - 0.5 * (dagger(b0) @ b0)
+            self.dmats_t = tuple(dj.T for dj in dmats)
+        else:
+            self.m_zero = False
+
+    @functools.cached_property
+    def gen_t(self):
+        return tuple(g.T for g in generator_coefficients(self.m.h_poly.coefficients,
+                                                          self.m.b_poly.coefficients))
+
+    @functools.cached_property
+    def flow_t(self):
+        return tuple(f.T for f in flow_coefficients(self.m.b_poly.coefficients))
+
+    # -- operator families at a batch of x values
+
+    def _diffusion(self, x):
+        if self.b_const:
+            return self.b0
+        return self.m.b_poly.at(x)
+
+    def _drift_apply(self, x, psi):
+        """D(x) psi without materializing (n,d,d) when B is constant."""
+        if self.b_const:
+            return _poly_apply(self.dmats_t, x, psi)
+        b = self.m.b_poly.at(x)
+        bdag = b.conj().transpose(0, 2, 1)
+        h = self.m.h_poly.coefficients[0] if self.h_const else self.m.h_poly.at(x)
+        drift = -1j * h - 0.5 * np.matmul(bdag, b)
+        return np.einsum("nij,nj->ni", drift, psi)
+
+    def step(self, state, x, dw, dt):
+        mv = scale = None
+        if self.mode == "linear":
+            b = self._diffusion(x)
+            out = state + dt * self._drift_apply(x, state) + dw[:, None] * _apply(b, state)
+        elif self.mode == "nonlinear":
+            b = self._diffusion(x)
+            if self.m_zero:
+                mv = np.zeros(state.shape[0])
+            else:
+                s = self.s0 if self.b_const else b + b.conj().transpose(0, 2, 1)
+                mv = np.einsum("ni,ni->n", np.conj(state), _apply(s, state)).real
+            bp = _apply(b, state)
+            out = state + dt * (self._drift_apply(x, state)
+                                + (0.5 * mv)[:, None] * bp
+                                - (mv * mv / 8.0)[:, None] * state)
+            out += dw[:, None] * (bp - (0.5 * mv)[:, None] * state)
+            scale = np.sqrt(np.einsum("ni,ni->n", out, np.conj(out)).real)
+            out = out / scale[:, None]
+        else:
+            # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
+            flow = _poly_apply(self.flow_t, x, state)
+            out = state + dt * _poly_apply(self.gen_t, x, state)
+            if self.mode == "density_linear":
+                out = out + dw[:, None] * flow
+            else:
+                mv = _trace(flow, self.d)
+                out += dw[:, None] * (flow - mv[:, None] * state)
+                scale = _trace(out, self.d)
+                out *= (1.0 / scale)[:, None]
+        decay = 1.0 - self.m.gamma * dt
+        x = decay * x + dw if mv is None else decay * x + mv * dt + dw
+        return out, x, mv, scale
+
+
+# ---------------------------------------------------------------------------
+# gates
+
+def _unit_state(state, density: bool, dim: int, what: str = "initial"):
+    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``."""
+    if density:
+        state = as_operator(state)
+        tr = float(np.real(np.trace(state)))
+        if abs(tr - 1.0) > 1e-9:
+            raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
+    else:
+        state = as_state(state)
+        nrm2 = float(np.real(np.vdot(state, state)))
+        if abs(nrm2 - 1.0) > 1e-9:
+            raise ValidationError(f"{what} norm^2 must be 1, got {nrm2:.12g}")
+    if state.shape[0] != dim:
+        raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
+    return state
+
+
+def _check_row(mode: str, out, scale):
+    """Raise if a one-row step collapsed before renormalization or left the finite range."""
+    if scale is not None and scale[0] < 1e-12:
+        what = "trace" if mode == "sme" else "state norm"
+        raise DivergenceError(f"{what} collapsed to {scale[0]:.3e} before renormalization")
+    # a row that left the finite range stays non-finite through the division by its scale
+    if not np.all(np.isfinite(out.view(float))):
+        what = "matrix" if mode in ("density_linear", "sme") else "state"
+        raise DivergenceError(f"{mode} step produced a non-finite {what}")
+
+
+def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
+    """One step of a single state; returns (state, m value or None)."""
+    stepper = _Stepper(m, mode)
+    row = np.asarray(vec(state) if stepper.density else state, dtype=complex)[None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out, _, mv, scale = stepper.step(row, np.array([float(x)]), np.array([float(dw)]), dt)
+    _check_row(mode, out, scale)
+    out = unvec(out[0], m.dim) if stepper.density else out[0]
+    return out, (None if mv is None else float(mv[0]))
 
 
 def step_linear(psi, x: float, dw: float, dt: float, m: ModelSpec):
     """One Euler-Maruyama step of the linear state equation."""
-    d_op = drift_operator(m, x)
-    b = diffusion_operator(m, x)
-    out = psi + dt * (d_op @ psi) + dw * (b @ psi)
-    if not _finite(out):
-        raise DivergenceError("linear step produced a non-finite state")
-    return out
+    return _step_one("linear", psi, x, dw, dt, m)[0]
 
 
 def step_nonlinear(psi_hat, x: float, dw_hat: float, dt: float, m: ModelSpec):
@@ -96,65 +263,36 @@ def step_nonlinear(psi_hat, x: float, dw_hat: float, dt: float, m: ModelSpec):
     and returned so the caller can advance the OU path under the
     physical measure with the same value.
     """
-    nrm2 = float(np.real(np.vdot(psi_hat, psi_hat)))
-    if abs(nrm2 - 1.0) > 1e-9:
-        raise ValidationError(f"nonlinear step requires a unit state, got norm^2 = {nrm2:.12g}")
-    b = diffusion_operator(m, x)
-    mval = float(np.real(np.vdot(psi_hat, (b + dagger(b)) @ psi_hat)))
-    eye = np.eye(m.dim)
-    g = drift_operator(m, x) + (0.5 * mval) * b - (mval * mval / 8.0) * eye
-    d_stoch = b - (0.5 * mval) * eye
-    out = psi_hat + dt * (g @ psi_hat) + dw_hat * (d_stoch @ psi_hat)
-    if not _finite(out):
-        raise DivergenceError("nonlinear step produced a non-finite state")
-    nrm = float(np.linalg.norm(out))
-    if nrm < 1e-12:
-        raise DivergenceError(f"state norm collapsed to {nrm:.3e} before renormalization")
-    return out / nrm, mval
+    psi_hat = _unit_state(psi_hat, False, m.dim, "nonlinear step state")
+    return _step_one("nonlinear", psi_hat, x, dw_hat, dt, m)
 
 
 def step_density_linear(rho, x: float, dw: float, dt: float, m: ModelSpec):
-    """Linear density step in commutator form; hermiticity is structural."""
-    if m.kind != "random_hamiltonian":
-        raise ValidationError(
-            f"density_linear integrates the commutator-form equation, which needs the "
-            f"random_hamiltonian kind; got {m.kind!r}"
-        )
-    h = m.h_poly(x)
-    k = m.k
-    krho = k @ rho - rho @ k
-    out = rho + dt * (-1j * (h @ rho - rho @ h) - 0.5 * (k @ krho - krho @ k)) - (1j * dw) * krho
-    if not _finite(out):
-        raise DivergenceError("density step produced a non-finite matrix")
-    return out
+    """One step of the linear density equation; hermiticity is structural."""
+    return _step_one("density_linear", rho, x, dw, dt, m)[0]
 
 
 def step_sme(rho_tilde, x: float, dw_hat: float, dt: float, m: ModelSpec):
     """One step of the nonlinear master equation, trace-renormalized."""
-    tr = float(np.real(np.trace(rho_tilde)))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValidationError(f"sme step requires unit trace, got {tr:.12g}")
-    b = diffusion_operator(m, x)
-    bdag = dagger(b)
-    flow = b @ rho_tilde + rho_tilde @ bdag
-    mval = float(np.real(np.trace(flow)))
-    out = rho_tilde + dt * lindblad_apply(m, x, rho_tilde) + dw_hat * (flow - mval * rho_tilde)
-    if not _finite(out):
-        raise DivergenceError("sme step produced a non-finite matrix")
-    tr1 = float(np.real(np.trace(out)))
-    if tr1 < 1e-12:
-        raise DivergenceError(f"trace collapsed to {tr1:.3e} before renormalization")
-    return out / tr1
+    rho_tilde = _unit_state(rho_tilde, True, m.dim, "sme step state")
+    return _step_one("sme", rho_tilde, x, dw_hat, dt, m)[0]
 
 
 def lindblad_apply(m: ModelSpec, x: float, rho) -> np.ndarray:
-    """Generator value ``-i[H(x), rho] - 1/2 {B^dag B, rho} + B rho B^dag``."""
+    """Generator value ``-i[H(x), rho] - 1/2 {B^dag B, rho} + B rho B^dag``.
+
+    Written out from the operators, apart from the vec-form
+    coefficients the stepper uses, so it can serve as their reference.
+    """
     h = m.h_poly(x)
     b = m.b_poly(x)
     bdag = dagger(b)
     bb = bdag @ b
     return -1j * (h @ rho - rho @ h) - 0.5 * (bb @ rho + rho @ bb) + b @ rho @ bdag
 
+
+# ---------------------------------------------------------------------------
+# single trajectories
 
 def _resolve_noise(noise, grid: TimeGrid):
     """Return the increment array for the run; linear modes also get X."""
@@ -180,73 +318,46 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     reference measure; nonlinear and sme modes evolve under the
     physical measure, advancing X with the recorded m values.
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    stepper = _Stepper(m, mode)
     if grid.n_steps > MAX_STEPS:
         raise ValidationError(f"n_steps {grid.n_steps} exceeds the per-trajectory cap {MAX_STEPS}")
-    if m.gamma * grid.dt >= 1.0:
-        raise ValidationError(
-            f"gamma*dt = {m.gamma * grid.dt:.3g} >= 1: the OU update is unstable; refine the grid"
-        )
+    _check_gamma(m.gamma, grid.dt)
     dw, x_given = _resolve_noise(noise, grid)
+    state = _unit_state(initial, stepper.density, m.dim)
     n = grid.n_steps
     dt = grid.dt
-    decay = 1.0 - m.gamma * dt
-
-    density = mode in ("density_linear", "sme")
-    if density:
-        state = as_operator(initial)
-        tr = float(np.real(np.trace(state)))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValidationError(f"initial trace must be 1, got {tr:.12g}")
-        states = np.empty((n + 1, m.dim, m.dim), dtype=complex)
-    else:
-        state = as_state(initial)
-        nrm2 = float(np.real(np.vdot(state, state)))
-        if abs(nrm2 - 1.0) > 1e-9:
-            raise ValidationError(f"initial norm^2 must be 1, got {nrm2:.12g}")
-        states = np.empty((n + 1, m.dim), dtype=complex)
-    if state.shape[0] != m.dim:
-        raise ValidationError(f"initial dimension {state.shape[0]} != model dimension {m.dim}")
 
     physical = mode in ("nonlinear", "sme")
-    if physical:
-        # X must carry the running measurement drift; a precomputed
-        # reference-measure path would be inconsistent here.
-        x_out = np.empty(n + 1)
-        x_out[0] = 0.0
-    else:
-        x_out = x_given if x_given is not None else ou_path(dw, m.gamma, grid)
-
-    states[0] = state
+    # under the physical measure X must carry the running measurement
+    # drift; a precomputed reference-measure path would be inconsistent
+    replay = x_given is not None and not physical
+    x_out = x_given if replay else np.zeros(n + 1)
     m_record = np.empty(n if physical else 0)
+
+    row = (vec(state) if stepper.density else state)[None, :]
+    rows = np.empty((n + 1, row.shape[1]), dtype=complex)
+    rows[0] = row[0]
     # overflow is the very condition the finiteness checks detect
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
-            xk = x_out[k]
+            row, x_next, mv, scale = stepper.step(row, x_out[k:k + 1], dw[k:k + 1], dt)
             try:
-                if mode == "linear":
-                    state = step_linear(state, xk, dw[k], dt, m)
-                elif mode == "nonlinear":
-                    state, mval = step_nonlinear(state, xk, dw[k], dt, m)
-                elif mode == "density_linear":
-                    state = step_density_linear(state, xk, dw[k], dt, m)
-                else:
-                    b = m.b_poly(xk)
-                    mval = float(np.real(np.trace((b + dagger(b)) @ state)))
-                    state = step_sme(state, xk, dw[k], dt, m)
+                _check_row(mode, row, scale)
             except DivergenceError as err:
                 raise DivergenceError(f"{err} at step {k} (t = {k * dt:.6g})", step=k) from None
-            states[k + 1] = state
+            rows[k + 1] = row[0]
+            if not replay:
+                x_out[k + 1] = x_next[0]
             if physical:
-                m_record[k] = mval
-                x_out[k + 1] = decay * xk + mval * dt + dw[k]
+                m_record[k] = mv[0]
 
     measure = "physical" if physical else "Q"
-    if density:
-        return DensityTrajectory(grid, states, x_out, measure, m_record)
-    weights = np.einsum("ki,ki->k", states, np.conj(states)).real
-    return Trajectory(grid, states, weights, x_out, m_record, measure)
+    if stepper.density:
+        # column-stacked rows back to (d, d) matrices
+        mats = np.ascontiguousarray(rows.reshape(n + 1, m.dim, m.dim).transpose(0, 2, 1))
+        return DensityTrajectory(grid, mats, x_out, measure, m_record)
+    weights = np.einsum("ki,ki->k", rows, np.conj(rows)).real
+    return Trajectory(grid, rows, weights, x_out, m_record, measure)
 
 
 def exact_commuting_solution(psi0, h, k, x_t: float, t: float):

@@ -31,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _poly_apply, _Stepper, _trace, _unit_state
 from .errors import DivergenceError, ValidationError
-from .linalg import as_operator, as_state, dagger, hermitian_residual, hermitian_tolerance
+from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
-from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates, sample_wiener_rows
-from .oracle import flow_coefficients, generator_coefficients, unvec, vec
+from .noise import (SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates,
+                    sample_wiener_rows)
+from .oracle import unvec, vec
 from .parallel import map_chunks, worker_count
 
 __all__ = [
@@ -105,123 +107,17 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
     return rows
 
 
-def _apply(op, psi):
-    """(d,d) or (n,d,d) operator applied to (n,d) states."""
-    if op.ndim == 2:
-        return psi @ op.T
-    return np.einsum("nij,nj->ni", op, psi)
-
-
-def _poly_apply(mats_t, x, v):
-    """``sum_j x^j v @ mats_t[j]`` for a batch of row vectors: one GEMM per power."""
-    out = v @ mats_t[0]
-    xp = x
-    for mt in mats_t[1:]:
-        out += xp[:, None] * (v @ mt)
-        xp = xp * x
-    return out
-
-
-def _trace(v, d):
-    """Real trace of each column-stacked (n, d*d) row."""
-    return np.einsum("ni->n", v[:, ::d + 1].real)
-
-
-class _Stepper:
-    """Vectorized one-step updates for a fixed model and mode.
-
-    Precomputes whatever is constant (for constant B the whole drift
-    family collapses to per-power matrices) and exposes
-    ``step(state, x, dw) -> (state, m_values)`` plus the matching OU
-    advance.  Density states are vec(rho) rows; the vec-form generator
-    and flow coefficients are kept transposed, one GEMM per power.  The
-    arithmetic forms mirror the scalar steppers term by term.
-    """
-
-    def __init__(self, m: ModelSpec, mode: str):
-        self.m = m
-        self.mode = mode
-        self.d = m.dim
-        self.b_const = m.b_poly.is_constant
-        self.h_const = m.h_poly.is_constant
-        self.gen_t = tuple(g.T for g in generator_coefficients(m.h_poly.coefficients,
-                                                                m.b_poly.coefficients))
-        self.flow_t = tuple(f.T for f in flow_coefficients(m.b_poly.coefficients))
-        if self.b_const:
-            b0 = m.b_poly.coefficients[0]
-            self.b0 = b0
-            self.s0 = b0 + dagger(b0)
-            self.m_zero = bool(np.all(self.s0 == 0.0))
-            # drift as per-power matrices: D(x) = sum_j x^j Dj
-            dmats = [-1j * c for c in m.h_poly.coefficients]
-            dmats[0] = dmats[0] - 0.5 * (dagger(b0) @ b0)
-            self.dmats_t = tuple(dj.T for dj in dmats)
-        else:
-            self.m_zero = False
-
-    # -- operator families at a batch of x values
-
-    def _diffusion(self, x):
-        if self.b_const:
-            return self.b0
-        return self.m.b_poly.at(x)
-
-    def _drift_apply(self, x, psi):
-        """D(x) psi without materializing (n,d,d) when B is constant."""
-        if self.b_const:
-            return _poly_apply(self.dmats_t, x, psi)
-        b = self.m.b_poly.at(x)
-        bdag = b.conj().transpose(0, 2, 1)
-        h = self.m.h_poly.coefficients[0] if self.h_const else self.m.h_poly.at(x)
-        drift = -1j * h - 0.5 * np.matmul(bdag, b)
-        return np.einsum("nij,nj->ni", drift, psi)
-
-    # -- state updates; each returns (state, m_values or None)
-
-    def step(self, state, x, dw, dt):
-        if self.mode == "linear":
-            b = self._diffusion(x)
-            out = state + dt * self._drift_apply(x, state) + dw[:, None] * _apply(b, state)
-            return out, None
-        if self.mode == "nonlinear":
-            b = self._diffusion(x)
-            if self.m_zero:
-                mv = np.zeros(state.shape[0])
-            else:
-                s = self.s0 if self.b_const else b + b.conj().transpose(0, 2, 1)
-                mv = np.einsum("ni,ni->n", np.conj(state), _apply(s, state)).real
-            bp = _apply(b, state)
-            out = state + dt * (self._drift_apply(x, state)
-                                + (0.5 * mv)[:, None] * bp
-                                - (mv * mv / 8.0)[:, None] * state)
-            out += dw[:, None] * (bp - (0.5 * mv)[:, None] * state)
-            nrm = np.sqrt(np.einsum("ni,ni->n", out, np.conj(out)).real)
-            return out / nrm[:, None], mv
-        # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
-        flow = _poly_apply(self.flow_t, x, state)
-        out = state + dt * _poly_apply(self.gen_t, x, state)
-        if self.mode == "density_linear":
-            return out + dw[:, None] * flow, None
-        mv = _trace(flow, self.d)
-        out += dw[:, None] * (flow - mv[:, None] * state)
-        out *= (1.0 / _trace(out, self.d))[:, None]
-        return out, mv
-
-
 def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, want_second):
     """Propagate one chunk and accumulate sums at the flagged nodes.
 
     Returns (partials, valid_mask).  Rows that left the finite range
     contaminate only themselves; the caller drops them and reruns.
     """
-    m = stepper.m
     rows = dws.shape[0]
-    d = m.dim
-    density = stepper.mode in ("density_linear", "sme")
-    physical = stepper.mode in ("nonlinear", "sme")
+    d = stepper.d
+    density = stepper.density
     state = np.tile(vec(initial) if density else initial, (rows, 1)).astype(complex)
     x = np.zeros(rows)
-    decay = 1.0 - m.gamma * grid_eff.dt
     dt = grid_eff.dt
 
     n_out = int(out_mask.sum())
@@ -258,11 +154,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
             record(0, state, x)
             j = 1
         for k in range(grid_eff.n_steps):
-            state, mv = stepper.step(state, x, dws[:, k], dt)
-            if physical:
-                x = decay * x + mv * dt + dws[:, k]
-            else:
-                x = decay * x + dws[:, k]
+            state, x, _, _ = stepper.step(state, x, dws[:, k], dt)
             if out_mask[k + 1]:
                 record(j, state, x)
                 j += 1
@@ -344,32 +236,11 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     processes (see :mod:`ousse.parallel`); their partials are merged
     here in chunk order, so the estimate does not depend on it.
     """
-    from .dynamics import MODES  # cycle-free: dynamics does not import ensemble
-
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    stepper = _Stepper(m, mode)
     if n_traj < 2:
         raise ValidationError(f"need at least 2 trajectories, got {n_traj}")
-    if m.gamma * grid.dt >= 1.0:
-        raise ValidationError(
-            f"gamma*dt = {m.gamma * grid.dt:.3g} >= 1: the OU update is unstable; refine the grid"
-        )
-    if mode == "density_linear" and m.kind != "random_hamiltonian":
-        raise ValidationError("density_linear mode needs the random_hamiltonian kind")
-
-    density = mode in ("density_linear", "sme")
-    if density:
-        initial = as_operator(initial)
-        tr = float(np.real(np.trace(initial)))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValidationError(f"initial trace must be 1, got {tr:.12g}")
-    else:
-        initial = as_state(initial)
-        nrm2 = float(np.real(np.vdot(initial, initial)))
-        if abs(nrm2 - 1.0) > 1e-9:
-            raise ValidationError(f"initial norm^2 must be 1, got {nrm2:.12g}")
-    if initial.shape[0] != m.dim:
-        raise ValidationError(f"initial dimension {initial.shape[0]} != model dimension {m.dim}")
+    _check_gamma(m.gamma, grid.dt)
+    initial = _unit_state(initial, stepper.density, m.dim)
 
     if output_nodes is None:
         stride = max(1, math.ceil(grid.n_steps / 200))
@@ -385,7 +256,6 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     out_mask = np.zeros(grid_eff.n_steps + 1, dtype=bool)
     out_mask[nodes << level] = True
 
-    stepper = _Stepper(m, mode)
     want_second = m.dim <= _SECOND_MOMENT_MAX_DIM
     rows = _chunk_rows(chunk_size, grid_eff.n_steps)
     bounds = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]

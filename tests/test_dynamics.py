@@ -105,6 +105,18 @@ def test_step_nonlinear_gates():
         step_nonlinear(E0, 0.0, 0.0, 2.0, mx)
 
 
+def test_step_nonlinear_near_collapse_is_a_divergence():
+    # dt just under 2 leaves a norm of about 5e-14 that is still finite,
+    # so only the collapse gate (not a NaN from the division) can fire
+    mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
+    dt = 2.0 - 1e-13
+    with pytest.raises(DivergenceError, match="collapsed"):
+        step_nonlinear(E0, 0.0, 0.0, dt, mx)
+    with pytest.raises(DivergenceError, match="collapsed") as info:
+        propagate("nonlinear", E0, np.zeros(1), mx, TimeGrid(dt, 1))
+    assert info.value.step == 0
+
+
 def test_step_density_linear():
     m = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.0)
     # identity is a fixed point of every commutator
@@ -227,6 +239,23 @@ def test_propagate_physical_mode_x_replay():
     assert np.any(traj.m_record != 0.0)
     # weights of a normalized run are identically one
     assert np.allclose(traj.weights, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["density_linear", "sme"])
+def test_propagate_density_mode_x_replay(mode):
+    # the density modes advance X exactly as the linear and nonlinear ones above
+    grid = TimeGrid(1e-2, 80)
+    dw = sample_wiener(grid, SeedPolicy(34).stream(2))
+    if mode == "sme":
+        m = make_measurement_model(0.5 * sigma_z, sigma_minus, 0.9)
+    else:
+        m = make_random_hamiltonian(sigma_z, sigma_x, 0.9)
+    traj = propagate(mode, outer(PLUS), dw, m, grid)
+    if mode == "sme":
+        assert np.any(traj.m_record != 0.0)
+        assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, 0.9, grid))
+    else:
+        assert np.array_equal(traj.X, ou_path(dw, 0.9, grid))
 
 
 def test_propagate_linear_tracks_commuting_solution():
