@@ -19,6 +19,7 @@ __all__ = [
     "Liouvillian",
     "build_liouvillian",
     "generator_coefficients",
+    "drift_coefficients",
     "flow_coefficients",
     "propagate_lindblad",
     "dephasing_coherence",
@@ -70,6 +71,21 @@ def generator_coefficients(h_coeffs, b_coeffs) -> tuple:
             half = 0.5 * (_left(bb) + _right(bb))
             g[k + l] = (-half if g[k + l] is None else g[k + l] - half) + np.kron(np.conj(bl), bk)
     return tuple(g)
+
+
+def drift_coefficients(h_coeffs, b_coeffs) -> tuple:
+    """Coefficients ``D_j`` of the state drift ``-i H(x) - 1/2 B(x)^dag B(x) = sum_j x^j D_j``.
+
+    ``b_l^dag b_k`` sits at power ``k + l``, as in :func:`generator_coefficients`.
+    """
+    dmats = [None] * max(len(h_coeffs), 2 * len(b_coeffs) - 1)
+    for j, h in enumerate(h_coeffs):
+        dmats[j] = -1j * h
+    for k, bk in enumerate(b_coeffs):
+        for l, bl in enumerate(b_coeffs):
+            half = 0.5 * (dagger(bl) @ bk)
+            dmats[k + l] = -half if dmats[k + l] is None else dmats[k + l] - half
+    return tuple(dmats)
 
 
 def flow_coefficients(b_coeffs) -> tuple:

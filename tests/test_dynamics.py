@@ -6,7 +6,10 @@ from ousse import (
     SeedPolicy,
     TimeGrid,
     ValidationError,
+    diffusion_operator,
+    drift_operator,
     exact_commuting_solution,
+    girsanov_drift,
     lindblad_apply,
     make_measurement_model,
     make_random_hamiltonian,
@@ -115,6 +118,42 @@ def test_step_nonlinear_near_collapse_is_a_divergence():
     with pytest.raises(DivergenceError, match="collapsed") as info:
         propagate("nonlinear", E0, np.zeros(1), mx, TimeGrid(dt, 1))
     assert info.value.step == 0
+
+
+def _euler_reference(mode, m, psi, x, dw, dt):
+    """One Euler step written out from the model operators: (state, m value, term scale)."""
+    drift = drift_operator(m, x)
+    b = diffusion_operator(m, x)
+    if mode == "linear":
+        terms = [psi, dt * (drift @ psi), dw * (b @ psi)]
+        return sum(terms), None, sum(np.max(np.abs(t)) for t in terms)
+    mv = girsanov_drift(m, x, psi)
+    bp = b @ psi
+    terms = [psi, dt * (drift @ psi), (0.5 * dt * mv) * bp, (-dt * mv * mv / 8.0) * psi,
+             dw * bp, (-0.5 * dw * mv) * psi]
+    out = sum(terms)
+    nrm = np.linalg.norm(out)
+    return out / nrm, mv, sum(np.max(np.abs(t)) for t in terms) / nrm
+
+
+def test_vector_steps_match_operator_euler_step():
+    # the batched step kernel against D(x), B(x) and m evaluated directly, for x-dependent B
+    rng = np.random.default_rng(53)
+    b_degrees = set()
+    for _ in range(32):
+        m = random_model(rng)
+        b_degrees.add(m.b_poly.degree)
+        psi = random_unit_state(rng, m.dim)
+        for x in (-1.7, 0.0, 0.45, 2.3):
+            dw, dt = float(rng.normal(0.0, 0.1)), 1e-2
+            want, _, scale = _euler_reference("linear", m, psi, x, dw, dt)
+            assert np.max(np.abs(step_linear(psi, x, dw, dt, m) - want)) <= 1e-12 * scale
+            want, mv_want, scale = _euler_reference("nonlinear", m, psi, x, dw, dt)
+            got, mv = step_nonlinear(psi, x, dw, dt, m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            s = diffusion_operator(m, x)
+            assert abs(mv - mv_want) <= 1e-12 * np.max(np.abs(s + s.conj().T)) * m.dim
+    assert b_degrees >= {0, 1, 2}
 
 
 def test_step_density_linear():

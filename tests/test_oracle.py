@@ -9,6 +9,7 @@ from ousse import (
     ValidationError,
     build_liouvillian,
     dephasing_coherence,
+    drift_operator,
     lindblad_apply,
     make_measurement_model,
     propagate_lindblad,
@@ -19,7 +20,7 @@ from ousse import (
     vec,
 )
 
-from ousse.oracle import generator_coefficients
+from ousse.oracle import drift_coefficients, generator_coefficients
 
 from conftest import random_hermitian, random_model, random_operator
 
@@ -64,6 +65,8 @@ def test_generator_coefficients_match_lindblad_apply():
                 degrees.add((len(h) - 1, len(b) - 1))
                 coeffs = generator_coefficients(h, b)
                 assert len(coeffs) == max(len(h), 2 * len(b) - 1)
+                dcoeffs = drift_coefficients(h, b)
+                assert len(dcoeffs) == len(coeffs)
                 v = vec(random_operator(rng, d))
                 for x in (-2.0, 0.0, 0.7, 3.0):
                     terms = [x**j * (g @ v) for j, g in enumerate(coeffs)]
@@ -71,8 +74,13 @@ def test_generator_coefficients_match_lindblad_apply():
                                 for j, g in enumerate(coeffs))
                     want = vec(lindblad_apply(m, x, unvec(v, d)))
                     assert np.max(np.abs(sum(terms) - want)) <= 1e-12 * scale
+                    # the state drift D(x) = sum_j x^j D_j that the vector steps apply
+                    drift = sum(x**j * dj for j, dj in enumerate(dcoeffs))
+                    dscale = sum(abs(x) ** j * np.max(np.abs(dj)) for j, dj in enumerate(dcoeffs))
+                    assert np.max(np.abs(drift - drift_operator(m, x))) <= 1e-12 * dscale
                 if len(coeffs) == 1:
                     assert np.array_equal(coeffs[0], build_liouvillian(h[0], b[0]).matrix)
+                    assert np.array_equal(dcoeffs[0], drift_operator(m, 0.0))
     assert degrees >= {(0, 0), (1, 0), (2, 2), (0, 2), (2, 0)}
 
 
