@@ -29,7 +29,7 @@ from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_
                        run_ensemble)
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
 from .model import diffusion_operator, drift_operator, consistency_residual
-from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
+from .noise import SeedPolicy, TimeGrid, _node_index, ou_covariance_estimates
 from .oracle import build_liouvillian, propagate_lindblad
 
 __all__ = ["main", "cmd_simulate", "cmd_verify", "cmd_covariance"]
@@ -260,8 +260,8 @@ def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: 
                    out_dir: str, points: int = 5, workers=None) -> int:
     if dt <= 0 or horizon <= 0:
         raise ValidationError("dt and T must be > 0")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+    n_steps = _node_index(horizon, dt)
+    if n_steps is None or n_steps < 1:
         raise ValidationError(f"T must be an integer multiple of dt, got T/dt = {horizon / dt}")
     if n_paths < 2:
         raise ValidationError(f"need at least 2 paths, got {n_paths}")

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MODES
+from .dynamics import MODES, _unit_state
 from .errors import ConfigError, ValidationError
 from .linalg import hermitian_residual, hermitian_tolerance
 from .model import (MAX_DEGREE, ModelSpec, OperatorPolynomial, make_measurement_model,
                     make_random_hamiltonian)
-from .noise import TimeGrid
+from .noise import TimeGrid, _check_gamma, _node_index
 
 __all__ = ["ExperimentConfig", "CheckConfig", "parse_config", "KNOWN_SUITES"]
 
@@ -44,6 +44,31 @@ class _Ctx:
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _gate(ctx, path, build, *args):
+    """``build(*args)``, or None with its ValidationError recorded at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as e:
+        ctx.err(path, str(e))
+        return None
+
+
+def _grid_nodes(ctx, times, path, grid):
+    """Node indices of ``times`` on ``grid``; an entry off the grid is an error at its index."""
+    nodes = []
+    for i, t in enumerate(times):
+        if not _is_num(t) or not math.isfinite(t):
+            ctx.err(f"{path}[{i}]", f"expected a finite number, got {t!r}")
+            continue
+        k = _node_index(t, grid.dt)
+        if k is None or not 0 <= k <= grid.n_steps:
+            ctx.err(f"{path}[{i}]",
+                    f"{t} is not a node of the grid (dt = {grid.dt}, T = {grid.horizon})")
+            continue
+        nodes.append(k)
+    return nodes
 
 
 def _get_num(ctx, block, key, path, default=None, required=False):
@@ -220,9 +245,8 @@ def parse_config(source) -> ExperimentConfig:
             ctx.err("model.kind", f'expected "random_hamiltonian" or "measurement", got {kind!r}')
             kind = None
         gamma = _get_num(ctx, mblock, "gamma", "model", required=True)
-        if gamma is not None and gamma < 0:
-            ctx.err("model.gamma", f"must be >= 0, got {gamma}")
-            gamma = None
+        if gamma is not None:
+            gamma = _gate(ctx, "model.gamma", _check_gamma, gamma)
         dim = _get_int(ctx, mblock, "dim", "model", required=True, minimum=1)
         if kind == "random_hamiltonian":
             h = _parse_poly(ctx, mblock, "H", "model", dim, hermitian=True)
@@ -234,19 +258,13 @@ def parse_config(source) -> ExperimentConfig:
                 ctx.err("model.K.coefficients", "this kind takes a single constant K")
                 k = None
             if h is not None and k is not None and gamma is not None:
-                try:
-                    model = make_random_hamiltonian(h[0], k[0], gamma)
-                except ValidationError as e:
-                    ctx.err("model", str(e))
+                model = _gate(ctx, "model", make_random_hamiltonian, h[0], k[0], gamma)
         elif kind == "measurement":
             h = _parse_poly(ctx, mblock, "H", "model", dim, hermitian=True)
             b = _parse_poly(ctx, mblock, "B", "model", dim, hermitian=False)
             if h is not None and b is not None and gamma is not None:
-                try:
-                    model = make_measurement_model(OperatorPolynomial(tuple(h)),
-                                                   OperatorPolynomial(tuple(b)), gamma)
-                except ValidationError as e:
-                    ctx.err("model", str(e))
+                model = _gate(ctx, "model", make_measurement_model, OperatorPolynomial(tuple(h)),
+                              OperatorPolynomial(tuple(b)), gamma)
 
     # -- grid
     grid = None
@@ -263,17 +281,13 @@ def parse_config(source) -> ExperimentConfig:
             ctx.err("grid.T", f"must be > 0, got {horizon}")
             horizon = None
         if dt is not None and horizon is not None:
-            n_steps = int(round(horizon / dt))
-            if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+            n_steps = _node_index(horizon, dt)
+            if n_steps is None or n_steps < 1:
                 ctx.err("grid.T", f"must be an integer multiple of dt, got T/dt = {horizon / dt}")
             else:
-                try:
-                    grid = TimeGrid(dt, n_steps)
-                except ValidationError as e:
-                    ctx.err("grid", str(e))
-    if model is not None and grid is not None and model.gamma * grid.dt >= 1.0:
-        ctx.err("grid.dt", f"gamma*dt = {model.gamma * grid.dt:.3g} >= 1: "
-                           f"the noise update is unstable at this step")
+                grid = _gate(ctx, "grid", TimeGrid, dt, n_steps)
+    if model is not None and grid is not None:
+        _gate(ctx, "grid.dt", _check_gamma, model.gamma, grid.dt)
 
     # -- run
     rblock = doc.get("run")
@@ -303,18 +317,7 @@ def parse_config(source) -> ExperimentConfig:
             if not isinstance(times, list) or not times:
                 ctx.err("run.output_times", "expected a non-empty list of times")
             elif grid is not None:
-                nodes = []
-                for i, t in enumerate(times):
-                    if not _is_num(t) or not math.isfinite(t):
-                        ctx.err(f"run.output_times[{i}]", f"expected a finite number, got {t!r}")
-                        continue
-                    k = int(round(t / grid.dt))
-                    if k < 0 or k > grid.n_steps or abs(k * grid.dt - t) > 1e-9 * max(1.0, abs(t)):
-                        ctx.err(f"run.output_times[{i}]",
-                                f"{t} is not a node of the grid (dt = {grid.dt}, T = {grid.horizon})")
-                        continue
-                    nodes.append(k)
-                output_nodes = tuple(sorted(set(nodes)))
+                output_nodes = tuple(sorted(set(_grid_nodes(ctx, times, "run.output_times", grid))))
         if "observables" in rblock:
             obs = rblock["observables"]
             if not isinstance(obs, dict):
@@ -334,20 +337,10 @@ def parse_config(source) -> ExperimentConfig:
                     observables.append((name, o))
         density = mode in ("density_linear", "sme")
         if "initial" in rblock and dim is not None:
-            if density:
-                initial = _parse_matrix(ctx, rblock["initial"], "run.initial", dim)
-                if initial is not None:
-                    tr = float(np.real(np.trace(initial)))
-                    if abs(tr - 1.0) > 1e-9:
-                        ctx.err("run.initial", f"trace must be 1, got {tr:.12g}")
-                        initial = None
-            else:
-                initial = _parse_vector(ctx, rblock["initial"], "run.initial", dim)
-                if initial is not None:
-                    nrm2 = float(np.real(np.vdot(initial, initial)))
-                    if abs(nrm2 - 1.0) > 1e-9:
-                        ctx.err("run.initial", f"squared norm must be 1, got {nrm2:.12g}")
-                        initial = None
+            parse = _parse_matrix if density else _parse_vector
+            initial = parse(ctx, rblock["initial"], "run.initial", dim)
+            if initial is not None:
+                initial = _gate(ctx, "run.initial", _unit_state, initial, density, dim)
         if initial is None and dim is not None and not ctx.errors:
             initial = np.zeros(dim, dtype=complex)
             initial[0] = 1.0
@@ -388,6 +381,8 @@ def parse_config(source) -> ExperimentConfig:
             ctx.err("checks.girsanov_times", "expected a list of times")
         else:
             g_times = tuple(float(t) for t in gt)
+            if grid is not None:
+                _grid_nodes(ctx, gt, "checks.girsanov_times", grid)
 
     # -- output
     oblock = doc.get("output", {})
@@ -410,7 +405,7 @@ def parse_config(source) -> ExperimentConfig:
         if model.h_poly.is_constant and model.b_poly.is_constant:
             suites.append("lindblad_oracle")
     if not g_times:
-        g_times = (grid.horizon / 2, grid.horizon)
+        g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
     checks = CheckConfig(tuple(suites), c_disc, c_fd, eps, cov_n, g_times)
 
     canonical = {

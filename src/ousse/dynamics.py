@@ -13,7 +13,8 @@ Modes
                     renormalization after every step
 
 Each mode's step is written once, in ``_Stepper``, for a batch of rows:
-state vectors, or column-stacked vec(rho) in the density modes.
+state vectors, or column-stacked vec(rho) in the density modes, with
+every operator a polynomial in x applied power by power.
 ``run_ensemble`` steps whole chunks through it; ``propagate`` and the
 ``step_*`` functions are one-row calls that add the per-step gates.
 
@@ -34,7 +35,7 @@ from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, as_state, dagger, matrix_exp
 from .model import ModelSpec
 from .noise import NoisePath, TimeGrid, _check_gamma, sample_wiener
-from .oracle import flow_coefficients, generator_coefficients, unvec, vec
+from .oracle import drift_coefficients, flow_coefficients, generator_coefficients, unvec, vec
 
 __all__ = [
     "Trajectory",
@@ -84,13 +85,6 @@ class DensityTrajectory:
 # ---------------------------------------------------------------------------
 # the step kernel
 
-def _apply(op, psi):
-    """(d,d) or (n,d,d) operator applied to (n,d) states."""
-    if op.ndim == 2:
-        return psi @ op.T
-    return np.einsum("nij,nj->ni", op, psi)
-
-
 def _poly_apply(mats_t, x, v):
     """``sum_j x^j v @ mats_t[j]`` for a batch of row vectors: one GEMM per power."""
     out = v @ mats_t[0]
@@ -114,11 +108,12 @@ class _Stepper:
     the physical measure and ``decay x + dw`` otherwise; the
     measurement drift at the step start (None in the linear modes); and
     the norm (``nonlinear``) or trace (``sme``) the rows were divided
-    by (None in the linear modes).  Whatever is constant is precomputed:
-    for constant B the drift family collapses to per-power matrices.
-    The vec-form generator and flow coefficients are built on first use
-    (density steps and node recording) and kept transposed, one GEMM
-    per power.
+    by (None in the linear modes).  Every operator applied is held as
+    transposed per-power coefficients, one GEMM per power: ``D(x)``,
+    ``B(x)`` and ``B(x) + B(x)^dag`` for state vectors; the vec-form
+    generator and flow, built on first use, for density rows and node
+    recording.  If every ``B_k + B_k^dag`` is zero (random_hamiltonian),
+    m is exactly zero and not computed.
     """
 
     def __init__(self, m: ModelSpec, mode: str):
@@ -133,19 +128,12 @@ class _Stepper:
         self.mode = mode
         self.d = m.dim
         self.density = mode in ("density_linear", "sme")
-        self.b_const = m.b_poly.is_constant
-        self.h_const = m.h_poly.is_constant
-        if self.b_const:
-            b0 = m.b_poly.coefficients[0]
-            self.b0 = b0
-            self.s0 = b0 + dagger(b0)
-            self.m_zero = bool(np.all(self.s0 == 0.0))
-            # drift as per-power matrices: D(x) = sum_j x^j Dj
-            dmats = [-1j * c for c in m.h_poly.coefficients]
-            dmats[0] = dmats[0] - 0.5 * (dagger(b0) @ b0)
-            self.dmats_t = tuple(dj.T for dj in dmats)
-        else:
-            self.m_zero = False
+        b = m.b_poly.coefficients
+        self.drift_t = tuple(dj.T for dj in drift_coefficients(m.h_poly.coefficients, b))
+        self.b_t = tuple(bk.T for bk in b)
+        s = [bk + dagger(bk) for bk in b]
+        self.s_t = tuple(sk.T for sk in s)
+        self.m_zero = not any(np.any(sk) for sk in s)
 
     @functools.cached_property
     def gen_t(self):
@@ -156,37 +144,19 @@ class _Stepper:
     def flow_t(self):
         return tuple(f.T for f in flow_coefficients(self.m.b_poly.coefficients))
 
-    # -- operator families at a batch of x values
-
-    def _diffusion(self, x):
-        if self.b_const:
-            return self.b0
-        return self.m.b_poly.at(x)
-
-    def _drift_apply(self, x, psi):
-        """D(x) psi without materializing (n,d,d) when B is constant."""
-        if self.b_const:
-            return _poly_apply(self.dmats_t, x, psi)
-        b = self.m.b_poly.at(x)
-        bdag = b.conj().transpose(0, 2, 1)
-        h = self.m.h_poly.coefficients[0] if self.h_const else self.m.h_poly.at(x)
-        drift = -1j * h - 0.5 * np.matmul(bdag, b)
-        return np.einsum("nij,nj->ni", drift, psi)
-
     def step(self, state, x, dw, dt):
         mv = scale = None
+        if not self.density:
+            drift = _poly_apply(self.drift_t, x, state)
+            bp = _poly_apply(self.b_t, x, state)
         if self.mode == "linear":
-            b = self._diffusion(x)
-            out = state + dt * self._drift_apply(x, state) + dw[:, None] * _apply(b, state)
+            out = state + dt * drift + dw[:, None] * bp
         elif self.mode == "nonlinear":
-            b = self._diffusion(x)
             if self.m_zero:
                 mv = np.zeros(state.shape[0])
             else:
-                s = self.s0 if self.b_const else b + b.conj().transpose(0, 2, 1)
-                mv = np.einsum("ni,ni->n", np.conj(state), _apply(s, state)).real
-            bp = _apply(b, state)
-            out = state + dt * (self._drift_apply(x, state)
+                mv = np.einsum("ni,ni->n", np.conj(state), _poly_apply(self.s_t, x, state)).real
+            out = state + dt * (drift
                                 + (0.5 * mv)[:, None] * bp
                                 - (mv * mv / 8.0)[:, None] * state)
             out += dw[:, None] * (bp - (0.5 * mv)[:, None] * state)
@@ -228,9 +198,14 @@ def _unit_state(state, density: bool, dim: int, what: str = "initial"):
     return state
 
 
+def _collapsed(scale):
+    """Whether a norm or trace a step divided by was too small to renormalize by."""
+    return scale < 1e-12
+
+
 def _check_row(mode: str, out, scale):
     """Raise if a one-row step collapsed before renormalization or left the finite range."""
-    if scale is not None and scale[0] < 1e-12:
+    if scale is not None and _collapsed(scale[0]):
         what = "trace" if mode == "sme" else "state norm"
         raise DivergenceError(f"{what} collapsed to {scale[0]:.3e} before renormalization")
     # a row that left the finite range stays non-finite through the division by its scale

@@ -10,8 +10,9 @@ is therefore part of the determinism contract; when a refined grid
 would make a chunk exceed a memory budget the size is halved by a
 fixed rule, which is again a pure function of the inputs.
 
-A trajectory whose state leaves the finite range poisons only its own
-chunk row; the chunk is then recomputed without the dead rows, the
+A trajectory that diverges (its state leaves the finite range, or its
+norm or trace collapses as ``propagate`` would reject) poisons only its
+own chunk row; the chunk is then recomputed without the dead rows, the
 failure is counted, and the run aborts if more than 1% of trajectories
 diverge (silent exclusion at a higher rate would bias the averages).
 
@@ -31,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _poly_apply, _Stepper, _trace, _unit_state
+from .dynamics import _collapsed, _poly_apply, _Stepper, _trace, _unit_state
 from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
-from .noise import (SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates,
+from .noise import (SeedPolicy, TimeGrid, _check_gamma, _node_index, ou_covariance_estimates,
                     sample_wiener_rows)
 from .oracle import unvec, vec
 from .parallel import map_chunks, worker_count
@@ -110,8 +111,8 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
 def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, want_second):
     """Propagate one chunk and accumulate sums at the flagged nodes.
 
-    Returns (partials, valid_mask).  Rows that left the finite range
-    contaminate only themselves; the caller drops them and reruns.
+    Returns (partials, valid_mask).  Rows that diverged (see the module
+    docstring) contaminate only themselves; the caller drops them and reruns.
     """
     rows = dws.shape[0]
     d = stepper.d
@@ -148,18 +149,23 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
         if want_second:
             p["s"][j] = v.T @ np.conj(v)
 
+    # smallest norm or trace each row was divided by
+    min_scale = np.full(rows, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         j = 0
         if out_mask[0]:
             record(0, state, x)
             j = 1
         for k in range(grid_eff.n_steps):
-            state, x, _, _ = stepper.step(state, x, dws[:, k], dt)
+            state, x, _, scale = stepper.step(state, x, dws[:, k], dt)
+            if scale is not None:
+                np.minimum(min_scale, scale, out=min_scale)
             if out_mask[k + 1]:
                 record(j, state, x)
                 j += 1
 
-    valid = np.all(np.isfinite(state.view(np.float64)), axis=1) & np.isfinite(x)
+    valid = (np.all(np.isfinite(state.view(np.float64)), axis=1) & np.isfinite(x)
+             & ~_collapsed(min_scale))
     p["n"][0] = rows
     return p, valid
 
@@ -417,8 +423,8 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
 def _times_to_nodes(t_list, grid: TimeGrid):
     nodes = []
     for t in t_list:
-        k = int(round(float(t) / grid.dt))
-        if k < 0 or k > grid.n_steps or abs(k * grid.dt - t) > 1e-9 * max(1.0, abs(t)):
+        k = _node_index(t, grid.dt)
+        if k is None or not 0 <= k <= grid.n_steps:
             raise ValidationError(f"time {t!r} is not a grid node (dt = {grid.dt})")
         nodes.append(k)
     return nodes

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_operator, dagger, expectation, hermitian_residual, hermitian_tolerance
+from .noise import _check_gamma
 
 __all__ = [
     "OperatorPolynomial",
@@ -114,8 +115,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("random_hamiltonian", "measurement"):
             raise ValidationError(f"unknown model kind {self.kind!r}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        _check_gamma(self.gamma)
         if self.h_poly.dim != self.b_poly.dim:
             raise ValidationError(
                 f"H dimension {self.h_poly.dim} != B dimension {self.b_poly.dim}"

@@ -202,7 +202,8 @@ def refine_increments(dw: np.ndarray, h: float, stream: np.random.Generator) -> 
     return out
 
 
-def _check_gamma(gamma: float, dt: float) -> float:
+def _check_gamma(gamma: float, dt: float = 0.0) -> float:
+    """``gamma`` as a float, if finite, >= 0 and stable on steps of ``dt`` (``gamma dt < 1``)."""
     gamma = float(gamma)
     if not (gamma >= 0.0 and np.isfinite(gamma)):
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
@@ -211,6 +212,13 @@ def _check_gamma(gamma: float, dt: float) -> float:
             f"gamma*dt = {gamma * dt:.3g} >= 1: the Euler OU update is unstable; refine the grid"
         )
     return gamma
+
+
+def _node_index(t: float, dt: float):
+    """The k with ``k dt = t`` to within ``1e-9 max(1, |t|)``, or None when t is off the grid."""
+    t = float(t)
+    k = int(round(t / dt))
+    return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
 
 
 def ou_path(dw: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
@@ -264,9 +272,7 @@ def ou_covariance(t, s, gamma: float):
     written with ``expm1`` so small ``gamma t`` does not cancel; the
     ``gamma = 0`` limit is ``min(t, s)`` (plain Brownian motion).
     """
-    gamma = float(gamma)
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
+    gamma = _check_gamma(gamma)
     t_arr = np.asarray(t, dtype=float)
     s_arr = np.asarray(s, dtype=float)
     if np.any(t_arr < 0.0) or np.any(s_arr < 0.0):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance, matrix_exp
+from .noise import _check_gamma
 
 __all__ = [
     "Liouvillian",
@@ -136,9 +137,7 @@ def dephasing_coherence(t, gamma: float):
     Decreasing in t, increasing in gamma: coloured noise dephases more
     slowly than its white-noise limit.
     """
-    gamma = float(gamma)
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
+    gamma = _check_gamma(gamma)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValidationError("time must be >= 0")

@@ -119,6 +119,22 @@ def test_output_times_must_hit_nodes():
     assert cfg.output_nodes == (0, 25, 50)
 
 
+def test_girsanov_times_must_hit_nodes(tmp_path, capsys):
+    doc = dephasing_doc()
+    doc["checks"] = {"girsanov_times": [0.25, 0.333]}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert [e.split(":")[0] for e in exc.value.errors] == ["checks.girsanov_times[1]"]
+    # verify stops at parse time, before any suite runs
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+    assert "checks.girsanov_times[1]" in capsys.readouterr().err
+    doc["checks"] = {"girsanov_times": [0.25, 0.5]}
+    assert parse_config(json.dumps(doc)).checks.girsanov_times == (0.25, 0.5)
+    # the default times are nodes for an odd step count too
+    cfg = parse_config(json.dumps(dephasing_doc(T=0.31)))
+    assert cfg.checks.girsanov_times == (15 * 0.01, 31 * 0.01)
+
+
 def write_config(tmp_path, doc, name="exp.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc, indent=2))

@@ -317,6 +317,16 @@ def test_divergence_abort():
         run_ensemble(wild, grid, 32, SeedPolicy(14), "linear", E0)
 
 
+def test_near_collapse_is_a_divergence(monkeypatch):
+    # the ensemble twin of the one-step test: dt just under 2 with zero increments
+    # leaves a norm of about 5e-14 that is still finite, so only the collapse rule fires
+    mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
+    monkeypatch.setattr("ousse.ensemble.sample_wiener_rows",
+                        lambda seeds, grid, lo, hi, level=0: np.zeros((hi - lo, grid.n_steps)))
+    with pytest.raises(DivergenceError, match="2 of 2 trajectories diverged"):
+        run_ensemble(mx, TimeGrid(2.0 - 1e-13, 1), 2, SeedPolicy(0), "nonlinear", E0, workers=1)
+
+
 def test_observable_series():
     grid = TimeGrid(1e-2, 100)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
