@@ -149,6 +149,17 @@ def test_workers_do_not_change_a_bit(mode, dim, chunk_size, two_cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_workers_do_not_change_a_bit_on_a_refined_grid(two_cpus):
+    rng = np.random.default_rng(43)
+    m = _degree2_measurement_model(rng, 2)
+    grid = TimeGrid(1e-2, 30)
+    runs = [run_ensemble(m, grid, 136, SeedPolicy(44), "nonlinear", E0, chunk_size=64, level=2,
+                         workers=w) for w in (1, 2)]
+    assert runs[0].grid.n_steps == 120 and runs[0].n_used == 136
+    assert_same_estimate(*runs)
+    assert multiprocessing.active_children() == []
+
+
 def explosive_model():
     # B(x) = 0.7 x^2 I drives x by 1.4 x^2 dt under the physical measure:
     # the rows whose x wanders high blow up, the rest stay bounded

@@ -19,6 +19,7 @@ from ousse import (
     sample_ou_values,
     sample_wiener,
 )
+from ousse.noise import sample_wiener_rows
 
 
 def test_time_grid():
@@ -96,6 +97,22 @@ def test_refine_increments_moments():
     # each child has variance h/2 and the pair reconstructs the parent
     assert abs(fine.var() - h / 2) < 3.0 * math.sqrt(2.0 / 40000) * (h / 2)
     assert np.allclose(fine[0::2] + fine[1::2], dw, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_sample_wiener_rows_match_per_stream_draws(level):
+    # the chunk sampler must reproduce every stream's own draw bitwise,
+    # whatever range or block of rows the stream falls in
+    pol = SeedPolicy(14)
+    cases = [(TimeGrid(0.01, n), lo, hi) for n in (1, 7, 40) for lo, hi in ((0, 1), (5, 70), (3, 3))]
+    # 101 rows of 1000 steps span several blocks, and 101 is a multiple of none
+    cases.append((TimeGrid(1e-3, 1000), 3, 104))
+    for grid, lo, hi in cases:
+        rows = sample_wiener_rows(pol, grid, lo, hi, level)
+        assert rows.shape == (hi - lo, grid.n_steps << level)
+        for i in range(lo, hi):
+            want = sample_wiener(grid, pol.stream(i), level)
+            assert rows[i - lo].tobytes() == want.tobytes(), (grid.n_steps, lo, hi, i)
 
 
 def test_ou_path_basics():
@@ -185,6 +202,16 @@ def test_sample_ou_values_matches_scalar_path():
     for i in range(5):
         x = ou_path(sample_wiener(grid, pol.stream(i)), 0.9, grid)
         assert vals[i, 0] == x[10] and vals[i, 1] == x[40]
+
+
+def test_sample_ou_values_matches_scalar_path_across_blocks():
+    grid = TimeGrid(1e-3, 1000)
+    pol = SeedPolicy(15)
+    nodes = [0, 1, 500, 1000]
+    vals = sample_ou_values(pol, grid, 0.5, 101, nodes)
+    for i in range(101):
+        x = ou_path(sample_wiener(grid, pol.stream(i)), 0.5, grid)
+        assert vals[i].tobytes() == x[nodes].tobytes(), i
 
 
 def test_sample_ou_values_is_independent_of_workers_and_chunks(monkeypatch):
