@@ -19,6 +19,14 @@ split each coarse increment in two (in time order).  Refining therefore
 extends a stream instead of reshuffling it, and estimates at different
 step sizes can share the same Brownian path.
 
+Many streams at once (``sample_wiener_rows``, which feeds every
+ensemble chunk and OU sample): one Philox generator is reset, not
+rebuilt, to each stream's key with counter 0 and an empty buffer; each
+row's uniforms come from one call; rows are transformed in blocks that
+fit in cache; and the increments come back column-major, one step per
+contiguous column.  A row's bits do not depend on its block or chunk:
+row ``i`` is ``sample_wiener`` on stream ``i``.
+
 The OU path follows the Euler rule
 
     X[k+1] = (1 - gamma dt) X[k] + dW[k],    X[0] = 0,
@@ -54,6 +62,7 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BLOCK_BUDGET = 1 << 19          # bytes of uniforms transformed at once: 32 rows of 1000 steps
 
 
 def _mix64(x: int) -> int:
@@ -163,11 +172,44 @@ class SeedPolicy:
         return SeedPolicy(h)
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from the uniform pairs along the last axis of ``u`` (the pinned transform)."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    return r * np.cos(2.0 * np.pi * u[..., 1::2])
+
+
+def _bridge_split(dw: np.ndarray, h: float, xi: np.ndarray) -> np.ndarray:
+    """Halve steps of size ``h`` along the last axis, driven by the normals ``xi``.
+
+    Increment ``dw`` becomes ``first, dw - first`` with
+    ``first = dw/2 + sqrt(h)/2 * xi``, so each pair sums back bitwise.
+    """
+    first = 0.5 * dw + (0.5 * np.sqrt(h)) * xi
+    out = np.empty(dw.shape[:-1] + (2 * dw.shape[-1],))
+    out[..., 0::2] = first
+    out[..., 1::2] = dw - first
+    return out
+
+
+def _increments(u: np.ndarray, dt: float, level: int) -> np.ndarray:
+    """Increments coded by a stream's uniforms ``u`` (last axis, in draw order).
+
+    ``u`` holds ``2 n 2**level`` uniforms: ``2 n`` for the base steps of
+    size ``dt``, then ``2 m`` for each level that splits ``m`` steps.
+    """
+    n = u.shape[-1] >> (level + 1)
+    dw = np.sqrt(dt) * _box_muller(u[..., :2 * n])
+    h = dt
+    for _ in range(level):
+        m = dw.shape[-1]
+        dw = _bridge_split(dw, h, _box_muller(u[..., 2 * m:4 * m]))
+        h *= 0.5
+    return dw
+
+
 def gaussians(stream: np.random.Generator, n: int) -> np.ndarray:
     """``n`` standard normals via the pinned Box-Muller transform."""
-    u = stream.random(2 * n)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    return r * np.cos(2.0 * np.pi * u[1::2])
+    return _box_muller(stream.random(2 * n))
 
 
 def sample_wiener(grid: TimeGrid, stream: np.random.Generator, level: int = 0) -> np.ndarray:
@@ -179,12 +221,7 @@ def sample_wiener(grid: TimeGrid, stream: np.random.Generator, level: int = 0) -
     documented draw order; the result has ``n_steps * 2**L`` entries
     whose pairwise sums reproduce the coarser increments exactly.
     """
-    dw = np.sqrt(grid.dt) * gaussians(stream, grid.n_steps)
-    h = grid.dt
-    for _ in range(level):
-        dw = refine_increments(dw, h, stream)
-        h *= 0.5
-    return dw
+    return _increments(stream.random(2 * grid.n_steps << level), grid.dt, level)
 
 
 def refine_increments(dw: np.ndarray, h: float, stream: np.random.Generator) -> np.ndarray:
@@ -194,12 +231,7 @@ def refine_increments(dw: np.ndarray, h: float, stream: np.random.Generator) -> 
     normal; the second is the exact remainder, so the sum of each pair
     equals the original increment bitwise.
     """
-    xi = gaussians(stream, dw.size)
-    first = 0.5 * dw + (0.5 * np.sqrt(h)) * xi
-    out = np.empty(2 * dw.size, dtype=float)
-    out[0::2] = first
-    out[1::2] = dw - first
-    return out
+    return _bridge_split(dw, h, gaussians(stream, dw.size))
 
 
 def _check_gamma(gamma: float, dt: float = 0.0) -> float:
@@ -291,12 +323,34 @@ def sample_wiener_rows(policy: SeedPolicy, grid: TimeGrid, lo: int, hi: int,
                        level: int = 0) -> np.ndarray:
     """Wiener increments of streams ``lo .. hi-1`` of ``policy``, one row each.
 
-    Row ``i - lo`` is :func:`sample_wiener` on stream ``i``, so a row
-    does not depend on the range it was drawn in.
+    Row ``i - lo`` is :func:`sample_wiener` on stream ``i`` bit for bit,
+    so a row does not depend on the range, block or chunk it is drawn
+    in.  One Philox generator serves the range: for each stream it is
+    reset, not rebuilt, to the state a fresh ``Philox(key=...)`` of that
+    stream has (its key, counter 0, an empty buffer), and fills the row's
+    uniforms with one call.  Rows are then transformed in blocks of
+    about ``_BLOCK_BUDGET`` bytes of uniforms, which stay in cache.  The
+    result is column-major (Fortran order), so the increments of one
+    step, ``dws[:, k]``, are contiguous.
     """
-    dws = np.empty((hi - lo, grid.n_steps << level))
-    for i in range(lo, hi):
-        dws[i - lo] = sample_wiener(grid, policy.stream(i), level)
+    if not 0 <= lo <= hi:
+        raise ValidationError(f"row range [{lo}, {hi}) must have 0 <= lo <= hi")
+    width = 2 * grid.n_steps << level
+    block = max(1, _BLOCK_BUDGET // (8 * width))
+    dws = np.empty((hi - lo, grid.n_steps << level), order="F")
+    u = np.empty((min(block, hi - lo), width))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    for b0 in range(lo, hi, block):
+        b1 = min(b0 + block, hi)
+        for i in range(b0, b1):
+            k = policy.stream_key(i)
+            key[0], key[1] = k & _MASK, k >> 64
+            bitgen.state = fresh
+            gen.random(out=u[i - b0])
+        dws[b0 - lo:b1 - lo] = _increments(u[:b1 - b0], grid.dt, level)
     return dws
 
 

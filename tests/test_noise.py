@@ -115,6 +115,17 @@ def test_sample_wiener_rows_match_per_stream_draws(level):
             assert rows[i - lo].tobytes() == want.tobytes(), (grid.n_steps, lo, hi, i)
 
 
+def test_sample_wiener_rows_layout_and_range_gate():
+    grid = TimeGrid(0.01, 7)
+    rows = sample_wiener_rows(SeedPolicy(14), grid, 2, 9, level=1)
+    # one step's increments across rows are contiguous
+    assert rows.flags.f_contiguous and rows[:, 3].flags.c_contiguous
+    assert sample_wiener_rows(SeedPolicy(14), grid, 3, 3).shape == (0, 7)
+    for lo, hi in ((-1, 4), (5, 4)):
+        with pytest.raises(ValidationError, match=rf"\[{lo}, {hi}\)"):
+            sample_wiener_rows(SeedPolicy(14), grid, lo, hi)
+
+
 def test_ou_path_basics():
     grid = TimeGrid(0.5, 2)
     dw = np.array([0.3, -0.1])
