@@ -89,6 +89,20 @@ def test_refinement_consistency():
     assert np.allclose(one[0::2] + one[1::2], base, rtol=0.0, atol=1e-14)
 
 
+def test_sample_wiener_follows_the_documented_draw_order():
+    # base increments first, then one refine_increments per level, all from one stream
+    grid = TimeGrid(0.25, 6)
+    for level in (1, 2, 3):
+        stream = SeedPolicy(16).stream(0)
+        want = math.sqrt(grid.dt) * gaussians(stream, grid.n_steps)
+        h = grid.dt
+        for _ in range(level):
+            want = refine_increments(want, h, stream)
+            h *= 0.5
+        got = sample_wiener(grid, SeedPolicy(16).stream(0), level)
+        assert got.tobytes() == want.tobytes(), level
+
+
 def test_refine_increments_moments():
     h = 0.1
     dw = sample_wiener(TimeGrid(h, 20000), SeedPolicy(17).stream(0))
@@ -120,7 +134,6 @@ def test_sample_wiener_rows_layout_and_range_gate():
     rows = sample_wiener_rows(SeedPolicy(14), grid, 2, 9, level=1)
     # one step's increments across rows are contiguous
     assert rows.flags.f_contiguous and rows[:, 3].flags.c_contiguous
-    assert sample_wiener_rows(SeedPolicy(14), grid, 3, 3).shape == (0, 7)
     for lo, hi in ((-1, 4), (5, 4)):
         with pytest.raises(ValidationError, match=rf"\[{lo}, {hi}\)"):
             sample_wiener_rows(SeedPolicy(14), grid, lo, hi)
