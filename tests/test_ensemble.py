@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,26 @@ def test_reduction_options_agree_to_rounding():
     c = run_ensemble(m, grid, 200, SeedPolicy(6), "linear", PLUS, compensated=False)
     assert np.max(np.abs(a.eta - b.eta)) < 1e-12
     assert np.max(np.abs(a.eta - c.eta)) < 1e-12
+
+
+def test_partials_memory_is_flat_in_chunks():
+    # d = 8 keeps the (101, 64, 64) second-moment block, about 6.6 MB per
+    # chunk; a run that held every chunk's partials would grow with n_traj
+    rng = np.random.default_rng(51)
+    m = make_random_hamiltonian(random_hermitian(rng, 8), random_hermitian(rng, 8), 0.8)
+    initial = random_unit_state(rng, 8)
+    grid = TimeGrid(1e-2, 100)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_chunks in (4, 16):
+            tracemalloc.reset_peak()
+            run_ensemble(m, grid, 64 * n_chunks, SeedPolicy(9), "linear", initial,
+                         chunk_size=64, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def _assert_matches_scalar(mode, m, initial, seed, n_traj=3):
