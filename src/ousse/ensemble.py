@@ -3,12 +3,15 @@
 Estimates are averages over independent trajectories, each driven by
 its own counter-based stream (see the noise module).  Trajectories are
 propagated in vectorized chunks of fixed size; per-chunk partial sums
-are combined by a compensated pairwise tree in chunk order, so a run
-is bitwise reproducible for a given (model, grid, n_traj, SeedPolicy,
-mode, chunk_size) regardless of how work is scheduled.  The chunk size
-is therefore part of the determinism contract; when a refined grid
-would make a chunk exceed a memory budget the size is halved by a
-fixed rule, which is again a pure function of the inputs.
+are added to one running total in chunk order, so a run is bitwise
+reproducible for a given (model, grid, n_traj, SeedPolicy, mode,
+chunk_size) regardless of how work is scheduled.  The chunk size is
+therefore part of the determinism contract; when a refined grid would
+make a chunk exceed a memory budget the size is halved by a fixed
+rule, which is again a pure function of the inputs.  Each chunk's
+partials are dropped once added, so memory does not grow with n_traj:
+besides the total, only the partials of the chunks in flight, about
+one per worker, are alive.
 
 A trajectory that diverges (its state leaves the finite range, or its
 norm or trace collapses as ``propagate`` would reject) poisons only its
@@ -57,45 +60,6 @@ _log = logging.getLogger("ousse")
 
 _CHUNK_BUDGET = 5 * 10**7        # max floats of increment storage per chunk
 _SECOND_MOMENT_MAX_DIM = 8       # full E[vv^H] matrices kept up to this dimension
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-def _tree_sum(parts, compensated=True):
-    """Pairwise tree sum over a list of equal-shaped arrays, in order.
-
-    With ``compensated`` each node combine uses TwoSum error tracking,
-    so the result is as if summed in extended precision.  Complex
-    arrays are reduced through their float views.
-    """
-    if not parts:
-        raise ValueError("nothing to reduce")
-    dtype = parts[0].dtype
-    cplx = np.iscomplexobj(parts[0])
-    vals = [np.array(p, copy=True).view(np.float64) if cplx else np.array(p, dtype=np.float64)
-            for p in parts]
-    errs = [np.zeros_like(v) for v in vals] if compensated else None
-    while len(vals) > 1:
-        nxt_v, nxt_e = [], []
-        for i in range(0, len(vals), 2):
-            if i + 1 == len(vals):
-                nxt_v.append(vals[i])
-                if compensated:
-                    nxt_e.append(errs[i])
-                continue
-            a, b = vals[i], vals[i + 1]
-            s = a + b
-            if compensated:
-                z = s - a
-                e = (a - (s - z)) + (b - z)
-                nxt_e.append(errs[i] + errs[i + 1] + e)
-            nxt_v.append(s)
-        vals = nxt_v
-        if compensated:
-            errs = nxt_e
-    out = vals[0] + errs[0] if compensated else vals[0]
-    return out.view(dtype) if cplx else out.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +195,7 @@ def _entry_se(sum2, mean_abs2, n):
 
 def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, mode: str,
                  initial, *, output_nodes=None, level: int = 0, chunk_size: int = 4096,
-                 compensated: bool = True, workers=None) -> EnsembleEstimate:
+                 workers=None) -> EnsembleEstimate:
     """Propagate ``n_traj`` trajectories and average at the output nodes.
 
     ``output_nodes`` are node indices of the base grid (default: every
@@ -239,8 +203,10 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     step that many times via bridge refinement of the same per-stream
     noise, so runs at different levels share their Brownian paths and
     report at identical times.  Chunks run on up to ``workers``
-    processes (see :mod:`ousse.parallel`); their partials are merged
-    here in chunk order, so the estimate does not depend on it.
+    processes (see :mod:`ousse.parallel`); each chunk's partials are
+    added to a running total here in chunk order and then dropped, so
+    the estimate does not depend on the worker count and memory does
+    not grow with ``n_traj``.
     """
     stepper = _Stepper(m, mode)
     if n_traj < 2:
@@ -281,7 +247,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
                 p = None
         return p, bad
 
-    parts = []
+    total = None
     diverged = []
     with map_chunks(chunk, bounds, n_workers) as results:
         for (lo, hi), (p, bad) in zip(bounds, results):
@@ -296,9 +262,11 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
                     )
                 if p is None:
                     raise DivergenceError("trajectories diverged irreproducibly across reruns")
-            parts.append(p)
+            if total is None:
+                total = {k: np.zeros_like(v) for k, v in p.items()}
+            for k in total:
+                total[k] += p[k]
 
-    total = {k: _tree_sum([p[k] for p in parts], compensated) for k in parts[0]}
     n = int(round(float(total["n"][0])))
     if n < 2:
         raise DivergenceError("fewer than 2 trajectories survived")
@@ -306,7 +274,6 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     d = m.dim
     n_out = nodes.size
     mean_w = total["w"] / n
-    var_w = np.maximum(0.0, (total["w2"] - n * mean_w**2) / (n - 1))
     vmean = total["v"] / n
     cmean = total["xv"] / n
     gmean = total["g"] / n
@@ -326,7 +293,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         node_indices=nodes,
         times=nodes * grid.dt,
         mean_weight=mean_w,
-        mean_weight_stderr=np.sqrt(var_w / n),
+        mean_weight_stderr=_entry_se(total["w2"], mean_w**2, n),
         eta=stack(vmean),
         eta_stderr=stack(_entry_se(total["v2"], np.abs(vmean) ** 2, n)).real,
         memory_term=stack(cmean),
@@ -391,7 +358,7 @@ def martingale_check(est: EnsembleEstimate, c_disc: float = 5.0) -> CheckReport:
 
 def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy,
                         observable, t_list, initial, *, c_disc: float = 5.0,
-                        level: int = 0, chunk_size: int = 4096, workers=None) -> CheckReport:
+                        level: int = 0, workers=None) -> CheckReport:
     """Weighted reference-measure vs physical-measure estimates of one mean.
 
     The two sides use independent substreams of ``seeds`` and are
@@ -401,11 +368,9 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
     o = as_operator(observable)
     nodes = _times_to_nodes(t_list, grid)
     est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), "linear",
-                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size,
-                         workers=workers)
+                         initial, output_nodes=nodes, level=level, workers=workers)
     est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), "nonlinear",
-                         initial, output_nodes=nodes, level=level, chunk_size=chunk_size,
-                         workers=workers)
+                         initial, output_nodes=nodes, level=level, workers=workers)
     series_q = observable_series(est_q, o)
     series_p = observable_series(est_p, o)
     dt = est_q.grid.dt
@@ -499,8 +464,7 @@ def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.
 
 
 def ou_covariance_check(seeds: SeedPolicy, grid: TimeGrid, gamma: float, n_paths: int,
-                        t_nodes, *, frac_required: float = 0.95,
-                        chunk_size: int = 4096, workers=None) -> CheckReport:
+                        t_nodes, *, frac_required: float = 0.95, workers=None) -> CheckReport:
     """Empirical OU covariance on a (t, s) grid against the closed form.
 
     The estimates are :func:`ousse.noise.ou_covariance_estimates`.  A
@@ -508,8 +472,7 @@ def ou_covariance_check(seeds: SeedPolicy, grid: TimeGrid, gamma: float, n_paths
     ``frac_required`` of the points do.
     """
     nodes = np.asarray(sorted(set(int(k) for k in t_nodes)), dtype=int)
-    estimates = ou_covariance_estimates(seeds, grid, gamma, n_paths, nodes,
-                                        chunk_size=chunk_size, workers=workers)
+    estimates = ou_covariance_estimates(seeds, grid, gamma, n_paths, nodes, workers=workers)
     times = nodes * grid.dt
     entries = []
     n_pass = 0

@@ -407,7 +407,7 @@ def sample_ou_values(
 
 
 def ou_covariance_estimates(policy: SeedPolicy, grid: TimeGrid, gamma: float, n_paths: int,
-                            nodes, *, chunk_size: int = 4096, workers=None) -> dict:
+                            nodes, *, workers=None) -> dict:
     """Sampled and closed-form OU covariance at every node pair ``a <= b``.
 
     Returns ``{(a, b): (analytic, empirical, stderr)}`` for the sorted
@@ -416,8 +416,7 @@ def ou_covariance_estimates(policy: SeedPolicy, grid: TimeGrid, gamma: float, n_
     empirical fourth moments.
     """
     nodes = np.asarray(nodes, dtype=int)
-    samples = sample_ou_values(policy, grid, gamma, n_paths, nodes, chunk_size=chunk_size,
-                               workers=workers)
+    samples = sample_ou_values(policy, grid, gamma, n_paths, nodes, workers=workers)
     times = nodes * grid.dt
     out = {}
     for a in range(nodes.size):

@@ -31,7 +31,6 @@ from ousse import (
     sigma_z,
 )
 from ousse import parallel
-from ousse.ensemble import _tree_sum
 from ousse.model import OperatorPolynomial
 
 from conftest import random_hermitian, random_operator, random_unit_state
@@ -204,9 +203,7 @@ def test_reduction_options_agree_to_rounding():
     m = dephasing_model()
     a = run_ensemble(m, grid, 200, SeedPolicy(6), "linear", PLUS)
     b = run_ensemble(m, grid, 200, SeedPolicy(6), "linear", PLUS, chunk_size=64)
-    c = run_ensemble(m, grid, 200, SeedPolicy(6), "linear", PLUS, compensated=False)
     assert np.max(np.abs(a.eta - b.eta)) < 1e-12
-    assert np.max(np.abs(a.eta - c.eta)) < 1e-12
 
 
 def test_partials_memory_is_flat_in_chunks():
@@ -470,16 +467,3 @@ def test_ou_covariance_check_runs():
     strict = ou_covariance_check(SeedPolicy(24), grid, 1.0, 4000, [25, 50, 75, 100],
                                  frac_required=1.01)
     assert not strict.passed  # the rule is a fraction, not a fixed count
-
-
-def test_tree_sum_compensation():
-    big = np.array([1e16])
-    total = _tree_sum([big.copy(), np.array([1.0]), -big.copy()], compensated=True)
-    assert total[0] == 1.0
-    # the plain tree loses the small addend at this conditioning
-    plain = _tree_sum([big.copy(), np.array([1.0]), -big.copy()], compensated=False)
-    assert plain[0] == 0.0
-    # complex arrays reduce through their float views without mixing parts
-    zs = [np.array([1e16 + 1j]), np.array([2.0 - 1j]), np.array([-1e16 + 0.5j])]
-    zt = _tree_sum(zs, compensated=True)
-    assert zt[0] == 2.0 + 0.5j
