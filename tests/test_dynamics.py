@@ -156,6 +156,45 @@ def test_vector_steps_match_operator_euler_step():
     assert b_degrees >= {0, 1, 2}
 
 
+def _density_reference(mode, m, rho, x, dw, dt):
+    """One density Euler step from ``lindblad_apply`` and the flow ``B rho + rho B^dag``.
+
+    Returns (matrix, term scale); ``sme`` subtracts the flow's trace times
+    rho from the noise term and divides by the stepped trace.
+    """
+    b = diffusion_operator(m, x)
+    flow = b @ rho + rho @ b.conj().T
+    if mode == "sme":
+        flow = flow - np.trace(flow) * rho
+    terms = [rho, dt * lindblad_apply(m, x, rho), dw * flow]
+    out = sum(terms)
+    scale = sum(np.max(np.abs(t)) for t in terms)
+    if mode == "sme":
+        tr = np.trace(out).real
+        return out / tr, scale / tr
+    return out, scale
+
+
+def test_density_steps_match_lindblad_apply_step():
+    rng = np.random.default_rng(59)
+    degrees = set()
+    for _ in range(32):
+        m = random_model(rng)
+        degrees.update((m.h_poly.degree, m.b_poly.degree))
+        a = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        for x in (-1.7, 0.0, 0.45, 2.3):
+            dw, dt = float(rng.normal(0.0, 0.1)), 1e-2
+            want, scale = _density_reference("sme", m, rho, x, dw, dt)
+            assert np.max(np.abs(step_sme(rho, x, dw, dt, m) - want)) <= 1e-12 * scale
+            if m.kind == "random_hamiltonian":
+                want, scale = _density_reference("density_linear", m, rho, x, dw, dt)
+                got = step_density_linear(rho, x, dw, dt, m)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert degrees >= {0, 1, 2}
+
+
 def test_step_density_linear():
     m = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.0)
     # identity is a fixed point of every commutator

@@ -272,6 +272,49 @@ def test_every_mode_matches_scalar_propagation(mode):
     _assert_matches_scalar(mode, m, initial, 32)
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
+def test_every_mode_matches_scalar_sample_statistics(mode):
+    # stderrs and second moments against sample statistics of one-path runs; a
+    # stderr is compared as its square, the variance of the mean, which the
+    # engine forms as (sum |v|^2 - n |mean|^2) / (n (n - 1)), good to rounding
+    # of sum |v|^2 only; its square root would turn that into noise of order
+    # 1e-8 wherever every row agrees (node 0, or the weights of a normalized run)
+    rng = np.random.default_rng(47)
+    if mode == "density_linear":
+        m = make_random_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), 0.6)
+    else:
+        m = _degree2_measurement_model(rng, 3)
+    psi0 = random_unit_state(rng, 3)
+    initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
+    grid = TimeGrid(1e-2, 60)
+    seeds = SeedPolicy(48)
+    nodes = [0, 17, 30, 60]
+    n_traj = 5
+    est = run_ensemble(m, grid, n_traj, seeds, mode, initial, output_nodes=nodes)
+    rhos, mems, gens = [], [], []
+    for i in range(n_traj):
+        traj = propagate(mode, initial, sample_wiener(grid, seeds.stream(i)), m, grid)
+        rows = [traj.matrices[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
+                for k in nodes]
+        rhos.append(rows)
+        mems.append([traj.X[k] * r for k, r in zip(nodes, rows)])
+        gens.append([lindblad_apply(m, traj.X[k], r) for k, r in zip(nodes, rows)])
+    rhos, mems, gens = np.array(rhos), np.array(mems), np.array(gens)
+    ws = np.trace(rhos, axis1=2, axis2=3).real
+
+    def var_of_mean(samples):
+        return np.var(samples, axis=0, ddof=1) / n_traj
+
+    for got, samples in ((est.eta_stderr, rhos), (est.memory_term_stderr, mems),
+                         (est.generator_mean_stderr, gens), (est.mean_weight_stderr, ws)):
+        assert got.shape == samples.shape[1:]
+        assert np.max(np.abs(got**2 - var_of_mean(samples))) < 5e-12
+    vecs = rhos.transpose(0, 1, 3, 2).reshape(n_traj, len(nodes), -1)
+    second = np.einsum("rja,rjb->jab", vecs, np.conj(vecs)) / n_traj
+    assert est.second_moments.shape == second.shape
+    assert np.max(np.abs(est.second_moments - second)) < 5e-12
+
+
 def test_global_phase_coupling_leaves_projector_alone():
     # K proportional to the identity only turns the global phase
     h = 0.5 * sigma_x
