@@ -12,11 +12,12 @@ Modes
 ``sme``             nonlinear stochastic master equation with trace
                     renormalization after every step
 
-Each mode's step is written once, in ``_Stepper``, for a batch of rows:
-state vectors, or column-stacked vec(rho) in the density modes, with
-every operator a polynomial in x applied power by power.
-``run_ensemble`` steps whole chunks through it; ``propagate`` and the
-``step_*`` functions are one-row calls that add the per-step gates.
+Each mode's step is written once, in ``_Stepper``, for a batch of
+columns, one trajectory each: state vectors, or column-stacked vec(rho)
+in the density modes, with every operator a polynomial in x applied
+power by power.  ``run_ensemble`` steps whole chunks through it;
+``propagate`` and the ``step_*`` functions are one-column calls that
+add the per-step gates.
 
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
@@ -85,33 +86,36 @@ class DensityTrajectory:
 # ---------------------------------------------------------------------------
 # the step kernel
 
-def _poly_apply(mats_t, x, v):
-    """``sum_j x^j v @ mats_t[j]`` for a batch of row vectors: one GEMM per power."""
-    out = v @ mats_t[0]
+def _poly_apply(mats, x, s):
+    """``sum_j x^j mats[j] @ s`` for a batch of columns: one GEMM per power."""
+    out = mats[0] @ s
     xp = x
-    for mt in mats_t[1:]:
-        out += xp[:, None] * (v @ mt)
+    for mj in mats[1:]:
+        out += xp * (mj @ s)
         xp = xp * x
     return out
 
 
 def _trace(v, d):
-    """Real trace of each column-stacked (n, d*d) row."""
-    return np.einsum("ni->n", v[:, ::d + 1].real)
+    """Real trace of each column-stacked vec(rho) column of a (d*d, n) batch."""
+    return v[::d + 1].real.sum(axis=0)
 
 
 class _Stepper:
-    """One Euler-Maruyama step of a batch of rows and their OU values.
+    """One Euler-Maruyama step of a batch of columns and their OU values.
 
-    ``step(state, x, dw, dt)`` returns ``(state, x, m_values, scale)``:
-    the stepped rows; the next OU values, ``decay x + m dt + dw`` under
-    the physical measure and ``decay x + dw`` otherwise; the
-    measurement drift at the step start (None in the linear modes); and
-    the norm (``nonlinear``) or trace (``sme``) the rows were divided
-    by (None in the linear modes).  Every operator applied is held as
-    transposed per-power coefficients, one GEMM per power: ``D(x)``,
-    ``B(x)`` and ``B(x) + B(x)^dag`` for state vectors; the vec-form
-    generator and flow, built on first use, for density rows and node
+    The trajectory axis is last and contiguous: states are ``(d, n)`` or
+    ``(d*d, n)`` vec(rho) columns, and ``x``, ``dw``, m and the scale are
+    ``(n,)`` vectors broadcast along it.  ``step(state, x, dw, dt)``
+    returns ``(state, x, m_values, scale)``: the stepped columns; the
+    next OU values, ``decay x + m dt + dw`` under the physical measure
+    and ``decay x + dw`` otherwise; the measurement drift at the step
+    start (None in the linear modes); and the norm (``nonlinear``) or
+    trace (``sme``) the columns were divided by (None in the linear
+    modes).  Every operator is held as per-power coefficients ``M_j``,
+    applied as ``M_j @ state``: ``D(x)`` and ``B(x)`` for state vectors,
+    with m = 2 Re <psi|B(x) psi> from the same ``B(x) psi``; the vec-form
+    generator and flow, built on first use, for density columns and node
     recording.  If every ``B_k + B_k^dag`` is zero (random_hamiltonian),
     m is exactly zero and not computed.
     """
@@ -128,51 +132,47 @@ class _Stepper:
         self.mode = mode
         self.d = m.dim
         self.density = mode in ("density_linear", "sme")
-        b = m.b_poly.coefficients
-        self.drift_t = tuple(dj.T for dj in drift_coefficients(m.h_poly.coefficients, b))
-        self.b_t = tuple(bk.T for bk in b)
-        s = [bk + dagger(bk) for bk in b]
-        self.s_t = tuple(sk.T for sk in s)
-        self.m_zero = not any(np.any(sk) for sk in s)
+        self.b = m.b_poly.coefficients
+        self.drift = drift_coefficients(m.h_poly.coefficients, self.b)
+        self.m_zero = not any(np.any(bk + dagger(bk)) for bk in self.b)
 
     @functools.cached_property
-    def gen_t(self):
-        return tuple(g.T for g in generator_coefficients(self.m.h_poly.coefficients,
-                                                          self.m.b_poly.coefficients))
+    def gen(self):
+        return generator_coefficients(self.m.h_poly.coefficients, self.b)
 
     @functools.cached_property
-    def flow_t(self):
-        return tuple(f.T for f in flow_coefficients(self.m.b_poly.coefficients))
+    def flow(self):
+        return flow_coefficients(self.b)
 
     def step(self, state, x, dw, dt):
         mv = scale = None
         if not self.density:
-            drift = _poly_apply(self.drift_t, x, state)
-            bp = _poly_apply(self.b_t, x, state)
+            drift = _poly_apply(self.drift, x, state)
+            bp = _poly_apply(self.b, x, state)
         if self.mode == "linear":
-            out = state + dt * drift + dw[:, None] * bp
+            out = state + dt * drift + dw * bp
         elif self.mode == "nonlinear":
             if self.m_zero:
-                mv = np.zeros(state.shape[0])
+                # with m = 0 the m terms add exact zeros: the linear step, renormalized
+                mv = np.zeros(state.shape[1])
+                out = state + dt * drift + dw * bp
             else:
-                mv = np.einsum("ni,ni->n", np.conj(state), _poly_apply(self.s_t, x, state)).real
-            out = state + dt * (drift
-                                + (0.5 * mv)[:, None] * bp
-                                - (mv * mv / 8.0)[:, None] * state)
-            out += dw[:, None] * (bp - (0.5 * mv)[:, None] * state)
-            scale = np.sqrt(np.einsum("ni,ni->n", out, np.conj(out)).real)
-            out = out / scale[:, None]
+                mv = 2.0 * (np.conj(state) * bp).real.sum(axis=0)
+                out = state + dt * (drift + (0.5 * mv) * bp - (mv * mv / 8.0) * state)
+                out += dw * (bp - (0.5 * mv) * state)
+            scale = np.sqrt((out * np.conj(out)).real.sum(axis=0))
+            out *= 1.0 / scale
         else:
             # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
-            flow = _poly_apply(self.flow_t, x, state)
-            out = state + dt * _poly_apply(self.gen_t, x, state)
+            flow = _poly_apply(self.flow, x, state)
+            out = state + dt * _poly_apply(self.gen, x, state)
             if self.mode == "density_linear":
-                out = out + dw[:, None] * flow
+                out += dw * flow
             else:
                 mv = _trace(flow, self.d)
-                out += dw[:, None] * (flow - mv[:, None] * state)
+                out += dw * (flow - mv * state)
                 scale = _trace(out, self.d)
-                out *= (1.0 / scale)[:, None]
+                out *= 1.0 / scale
         decay = 1.0 - self.m.gamma * dt
         x = decay * x + dw if mv is None else decay * x + mv * dt + dw
         return out, x, mv, scale
@@ -203,13 +203,13 @@ def _collapsed(scale):
     return scale < 1e-12
 
 
-def _check_row(mode: str, out, scale):
-    """Raise if a one-row step collapsed before renormalization or left the finite range."""
+def _check_column(mode: str, out, scale):
+    """Raise if a one-column step collapsed before renormalization or left the finite range."""
     if scale is not None and _collapsed(scale[0]):
         what = "trace" if mode == "sme" else "state norm"
         raise DivergenceError(f"{what} collapsed to {scale[0]:.3e} before renormalization")
-    # a row that left the finite range stays non-finite through the division by its scale
-    if not np.all(np.isfinite(out.view(float))):
+    # a column that left the finite range stays non-finite through the division by its scale
+    if not np.all(np.isfinite(out)):
         what = "matrix" if mode in ("density_linear", "sme") else "state"
         raise DivergenceError(f"{mode} step produced a non-finite {what}")
 
@@ -217,11 +217,11 @@ def _check_row(mode: str, out, scale):
 def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
     """One step of a single state; returns (state, m value or None)."""
     stepper = _Stepper(m, mode)
-    row = np.asarray(vec(state) if stepper.density else state, dtype=complex)[None, :]
+    col = np.asarray(vec(state) if stepper.density else state, dtype=complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, _, mv, scale = stepper.step(row, np.array([float(x)]), np.array([float(dw)]), dt)
-    _check_row(mode, out, scale)
-    out = unvec(out[0], m.dim) if stepper.density else out[0]
+        out, _, mv, scale = stepper.step(col, np.array([float(x)]), np.array([float(dw)]), dt)
+    _check_column(mode, out, scale)
+    out = unvec(out[:, 0], m.dim) if stepper.density else out[:, 0]
     return out, (None if mv is None else float(mv[0]))
 
 
@@ -309,18 +309,18 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     x_out = x_given if replay else np.zeros(n + 1)
     m_record = np.empty(n if physical else 0)
 
-    row = (vec(state) if stepper.density else state)[None, :]
-    rows = np.empty((n + 1, row.shape[1]), dtype=complex)
-    rows[0] = row[0]
+    col = (vec(state) if stepper.density else state)[:, None]
+    rows = np.empty((n + 1, col.shape[0]), dtype=complex)
+    rows[0] = col[:, 0]
     # overflow is the very condition the finiteness checks detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
-            row, x_next, mv, scale = stepper.step(row, x_out[k:k + 1], dw[k:k + 1], dt)
+            col, x_next, mv, scale = stepper.step(col, x_out[k:k + 1], dw[k:k + 1], dt)
             try:
-                _check_row(mode, row, scale)
+                _check_column(mode, col, scale)
             except DivergenceError as err:
                 raise DivergenceError(f"{err} at step {k} (t = {k * dt:.6g})", step=k) from None
-            rows[k + 1] = row[0]
+            rows[k + 1] = col[:, 0]
             if not replay:
                 x_out[k + 1] = x_next[0]
             if physical:

@@ -2,7 +2,8 @@
 
 Estimates are averages over independent trajectories, each driven by
 its own counter-based stream (see the noise module).  Trajectories are
-propagated in vectorized chunks of fixed size; per-chunk partial sums
+propagated in vectorized chunks of fixed size, one trajectory per
+column of a chunk's state batch; per-chunk partial sums
 are added to one running total in chunk order, so a run is bitwise
 reproducible for a given (model, grid, n_traj, SeedPolicy, mode,
 chunk_size) regardless of how work is scheduled.  The chunk size is
@@ -15,13 +16,13 @@ one per worker, are alive.
 
 A trajectory that diverges (its state leaves the finite range, or its
 norm or trace collapses as ``propagate`` would reject) poisons only its
-own chunk row; the chunk is then recomputed without the dead rows, the
+own column; the chunk is then recomputed without the dead ones, the
 failure is counted, and the run aborts if more than 1% of trajectories
 diverge (silent exclusion at a higher rate would bias the averages).
 
 The generator L(x) is built once per model, in the oracle's vec
 convention, as superoperator coefficients of a polynomial in x; node
-recording and the density steps apply it to vec(rho) rows as GEMMs.
+recording and the density steps apply it to vec(rho) columns as GEMMs.
 
 Linear-mode averages are unnormalized under the reference measure: the
 mean projector, the memory term E[X rho] and the mean squared norm are
@@ -75,45 +76,46 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
 def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, want_second):
     """Propagate one chunk and accumulate sums at the flagged nodes.
 
-    Returns (partials, valid_mask).  Rows that diverged (see the module
-    docstring) contaminate only themselves; the caller drops them and reruns.
+    States are columns, one per trajectory (see ``_Stepper``), and
+    ``dws`` is column-major.  Returns (partials, valid_mask).  Columns
+    that diverged (see the module docstring) contaminate only
+    themselves; the caller drops them and reruns.
     """
     rows = dws.shape[0]
     d = stepper.d
+    dd = d * d
     density = stepper.density
-    state = np.tile(vec(initial) if density else initial, (rows, 1)).astype(complex)
+    state = np.tile((vec(initial) if density else initial)[:, None], rows).astype(complex)
     x = np.zeros(rows)
     dt = grid_eff.dt
 
     n_out = int(out_mask.sum())
-    p = {
-        "n": np.zeros(1),
-        "w": np.zeros(n_out), "w2": np.zeros(n_out),
-        "v": np.zeros((n_out, d * d), dtype=complex), "v2": np.zeros((n_out, d * d)),
-        "xv": np.zeros((n_out, d * d), dtype=complex), "x2v2": np.zeros((n_out, d * d)),
-        "g": np.zeros((n_out, d * d), dtype=complex), "g2": np.zeros((n_out, d * d)),
-    }
+    p = {"n": np.zeros(1), "w": np.zeros(n_out), "w2": np.zeros(n_out)}
+    p.update({k: np.zeros((n_out, dd), dtype=complex) for k in ("v", "xv", "g")})
+    p.update({k: np.zeros((n_out, dd)) for k in ("v2", "x2v2", "g2")})
     if want_second:
-        p["s"] = np.zeros((n_out, d * d, d * d), dtype=complex)
+        p["s"] = np.zeros((n_out, dd, dd), dtype=complex)
+
+    powers = np.ones((3, rows))
 
     def record(j, state, x):
         # vector modes record vec(|psi><psi|): entry i + d*k is psi_i conj(psi_k)
-        v = state if density else (state[:, None, :] * np.conj(state[:, :, None])).reshape(rows, -1)
-        w = _trace(v, d)
-        p["w"][j] = w.sum()
-        p["w2"][j] = (w * w).sum()
-        p["v"][j] = v.sum(axis=0)
-        av2 = (v.real * v.real + v.imag * v.imag)
-        p["v2"][j] = av2.sum(axis=0)
-        p["xv"][j] = (x[:, None] * v).sum(axis=0)
-        p["x2v2"][j] = ((x * x)[:, None] * av2).sum(axis=0)
-        lv = _poly_apply(stepper.gen_t, x, v)
-        p["g"][j] = lv.sum(axis=0)
-        p["g2"][j] = (lv.real * lv.real + lv.imag * lv.imag).sum(axis=0)
+        v = state if density else (state[None] * np.conj(state[:, None])).reshape(dd, rows)
+        lv = _poly_apply(stepper.gen, x, v)
+        # one pass: the rows Re v, Im v, Re Lv, Im Lv, Tr v and their squares,
+        # each reduced by one GEMM against the columns 1, x, x^2
+        parts = np.concatenate([v.real, v.imag, lv.real, lv.imag, _trace(v, d)[None]])
+        powers[1:] = x, x * x
+        lin, sq = parts @ powers.T, (parts * parts) @ powers.T
+        c = lin[:-1].reshape(2, 2, dd, 3)           # [v or Lv, re or im, entry, power]
+        (vs, gs), (v2, g2) = c[:, 0] + 1j * c[:, 1], sq[:-1].reshape(2, 2, dd, 3).sum(axis=1)
+        p["v"][j], p["xv"][j], p["g"][j] = vs[:, 0], vs[:, 1], gs[:, 0]
+        p["v2"][j], p["x2v2"][j], p["g2"][j] = v2[:, 0], v2[:, 2], g2[:, 0]
+        p["w"][j], p["w2"][j] = lin[-1, 0], sq[-1, 0]
         if want_second:
-            p["s"][j] = v.T @ np.conj(v)
+            p["s"][j] = v @ v.conj().T
 
-    # smallest norm or trace each row was divided by
+    # smallest norm or trace each column was divided by
     min_scale = np.full(rows, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         j = 0
@@ -128,8 +130,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
                 record(j, state, x)
                 j += 1
 
-    valid = (np.all(np.isfinite(state.view(np.float64)), axis=1) & np.isfinite(x)
-             & ~_collapsed(min_scale))
+    valid = np.isfinite(state).all(axis=0) & np.isfinite(x) & ~_collapsed(min_scale)
     p["n"][0] = rows
     return p, valid
 
@@ -241,8 +242,9 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         # divergence is row-local and deterministic, so a rerun on the
         # surviving rows reproduces them exactly; past 1% the run aborts
         if bad.size and bad.size <= 0.01 * n_traj:
-            p, valid2 = _chunk_partials(stepper, grid_eff, dws[valid], initial, out_mask,
-                                        want_second)
+            # dws[valid] would be C-ordered; compressing the transpose keeps steps contiguous
+            p, valid2 = _chunk_partials(stepper, grid_eff, dws.T.compress(valid, axis=1).T,
+                                        initial, out_mask, want_second)
             if not valid2.all():
                 p = None
         return p, bad
@@ -273,10 +275,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
 
     d = m.dim
     n_out = nodes.size
-    mean_w = total["w"] / n
-    vmean = total["v"] / n
-    cmean = total["xv"] / n
-    gmean = total["g"] / n
+    mean_w, vmean, cmean, gmean = (total[k] / n for k in ("w", "v", "xv", "g"))
 
     def stack(vflat):
         return np.stack([unvec(vflat[j], d) for j in range(n_out)])

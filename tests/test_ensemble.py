@@ -30,7 +30,7 @@ from ousse import (
     sigma_x,
     sigma_z,
 )
-from ousse import parallel
+from ousse import ensemble, parallel
 from ousse.model import OperatorPolynomial
 
 from conftest import random_hermitian, random_operator, random_unit_state
@@ -185,6 +185,28 @@ def test_divergence_is_independent_of_workers(two_cpus):
         messages.append(str(err.value))
         assert multiprocessing.active_children() == []
     assert messages == ["4 of 320 trajectories diverged (> 1%); refine the grid or check the model"] * 2
+
+
+def test_rerun_steps_the_surviving_increments_column_major(monkeypatch):
+    seen = []
+    chunk_partials = ensemble._chunk_partials
+
+    def spy(stepper, grid_eff, dws, *args):
+        seen.append(dws)
+        return chunk_partials(stepper, grid_eff, dws, *args)
+
+    monkeypatch.setattr(ensemble, "_chunk_partials", spy)
+    grid = TimeGrid(1e-2, 100)
+    est = run_ensemble(explosive_model(), grid, 640, SeedPolicy(2), "nonlinear", E0,
+                       chunk_size=64, workers=1)
+    assert est.diverged == (238, 287, 386, 462)
+    assert len(seen) == 10 + 4
+    for dws in seen:
+        assert dws.flags.f_contiguous
+    # the chunk holding row 238 (rows 192..255) and its rerun without it
+    first, rerun = seen[3], seen[4]
+    assert rerun.shape == (63, 100)
+    assert np.array_equal(rerun, np.delete(first, 238 - 192, axis=0))
 
 
 def test_workers_must_be_positive(monkeypatch):
