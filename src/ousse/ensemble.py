@@ -108,7 +108,8 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
         powers[1:] = x, x * x
         lin, sq = parts @ powers.T, (parts * parts) @ powers.T
         c = lin[:-1].reshape(2, 2, dd, 3)           # [v or Lv, re or im, entry, power]
-        (vs, gs), (v2, g2) = c[:, 0] + 1j * c[:, 1], sq[:-1].reshape(2, 2, dd, 3).sum(axis=1)
+        vs, gs = c[:, 0] + 1j * c[:, 1]
+        v2, g2 = sq[:-1].reshape(2, 2, dd, 3).sum(axis=1)
         p["v"][j], p["xv"][j], p["g"][j] = vs[:, 0], vs[:, 1], gs[:, 0]
         p["v2"][j], p["x2v2"][j], p["g2"][j] = v2[:, 0], v2[:, 2], g2[:, 0]
         p["w"][j], p["w2"][j] = lin[-1, 0], sq[-1, 0]
