@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ousse import dynamics
 from ousse import (
     DivergenceError,
     SeedPolicy,
@@ -370,6 +371,110 @@ def test_propagate_divergence_reports_step():
     big = make_measurement_model(np.zeros((2, 2)), 5000.0 * np.eye(2), 0.0)
     with pytest.raises(DivergenceError, match="step"):
         propagate("linear", E0, np.zeros(50), big, grid)
+
+
+def _divergence(mode, initial, dw, m, grid):
+    with pytest.raises(DivergenceError) as info:
+        propagate(mode, initial, dw, m, grid)
+    return str(info.value), info.value.step
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
+def test_propagate_reports_first_non_finite_step(mode):
+    # without noise E0 and |E0><E0| keep B psi (or the flow) at about 10 off the diagonal,
+    # so the one increment of 1e308 overflows it
+    grid = TimeGrid(1e-4, 40)
+    dw = np.zeros(40)
+    dw[7] = 1e308
+    if mode == "density_linear":
+        m = make_random_hamiltonian(np.zeros((2, 2)), 10.0 * sigma_x, 0.7)
+    else:
+        m = make_measurement_model(np.zeros((2, 2)), 10.0 * sigma_x, 0.7)
+    initial = outer(E0) if mode in ("density_linear", "sme") else E0
+    what = "matrix" if mode in ("density_linear", "sme") else "state"
+    text, step = _divergence(mode, initial, dw, m, grid)
+    assert text == f"{mode} step produced a non-finite {what} at step 7 (t = 0.0007)"
+    assert step == 7
+
+
+def test_propagate_reports_first_norm_collapse():
+    # B = sigma_x at dt = 2 maps E0 to dW E1 and back; a zero increment annihilates the state
+    mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
+    dw = np.full(12, 0.5)
+    dw[5] = 0.0
+    text, step = _divergence("nonlinear", E0, dw, mx, TimeGrid(2.0, 12))
+    assert text == "state norm collapsed to 0.000e+00 before renormalization at step 5 (t = 10)"
+    assert step == 5
+
+
+def test_propagate_reports_first_trace_collapse():
+    # B = c sigma_z puts +-dW c on the diagonal of |+><+|: at dW c = 1e17 the trace rounds to 0
+    c = 3.0
+    m = make_measurement_model(np.zeros((2, 2)), c * sigma_z, 0.0)
+    dw = np.zeros(20)
+    dw[9] = 1e17 / c
+    text, step = _divergence("sme", outer(PLUS), dw, m, TimeGrid(1e-2, 20))
+    assert text == "trace collapsed to 0.000e+00 before renormalization at step 9 (t = 0.09)"
+    assert step == 9
+
+
+def test_propagate_stops_soon_after_an_early_divergence(monkeypatch):
+    # a divergence at step 5 of 100 000 costs at most one block of 256 further steps
+    calls = []
+    step = dynamics._Stepper.step
+
+    def spy(self, *args):
+        calls.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(dynamics._Stepper, "step", spy)
+    n = 100_000
+    dw = np.zeros(n)
+    dw[5] = 1e308
+    m = make_measurement_model(np.zeros((2, 2)), 10.0 * sigma_x, 0.0)
+    text, k = _divergence("linear", E0, dw, m, TimeGrid(1e-5, n))
+    assert k == 5 and "at step 5 " in text
+    assert 6 <= len(calls) <= 6 + 256
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
+def test_propagate_path_matches_reference_steps(mode):
+    # every step of a whole path against the operator-written step from the path's own state
+    rng = np.random.default_rng({"linear": 71, "nonlinear": 72,
+                                 "density_linear": 73, "sme": 74}[mode])
+    density = mode in ("density_linear", "sme")
+    b_degrees = set()
+    for _ in range(12):
+        kind = "random_hamiltonian" if mode == "density_linear" else None
+        m = random_model(rng, kind=kind)
+        b_degrees.add(m.b_poly.degree)
+        grid = TimeGrid(float(rng.uniform(2e-3, 2e-2)), 40)
+        dw = rng.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+        psi = random_unit_state(rng, m.dim)
+        traj = propagate(mode, outer(psi) if density else psi, dw, m, grid)
+        path = traj.matrices if density else traj.states
+        for k in range(grid.n_steps):
+            x = float(traj.X[k])
+            if density:
+                want, scale = _density_reference(mode, m, path[k], x, dw[k], grid.dt)
+            else:
+                want, mv, scale = _euler_reference(mode, m, path[k], x, dw[k], grid.dt)
+            assert np.max(np.abs(path[k + 1] - want)) <= 1e-12 * scale
+            if mode == "nonlinear":
+                s = diffusion_operator(m, x)
+                tol = 1e-12 * np.max(np.abs(s + s.conj().T)) * m.dim
+                assert abs(traj.m_record[k] - mv) <= tol
+            if mode == "sme":
+                b = diffusion_operator(m, x)
+                flow = b @ path[k] + path[k] @ b.conj().T
+                tol = 1e-12 * np.max(np.abs(flow)) * m.dim
+                assert abs(traj.m_record[k] - np.trace(flow).real) <= tol
+        if mode in ("nonlinear", "sme"):
+            assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, m.gamma, grid))
+        else:
+            assert np.array_equal(traj.X, ou_path(dw, m.gamma, grid))
+    if mode != "density_linear":
+        assert b_degrees >= {0, 1, 2}
 
 
 def test_exact_commuting_solution():
