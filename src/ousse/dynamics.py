@@ -15,9 +15,13 @@ Modes
 Each mode's step is written once, in ``_Stepper``, for a batch of
 columns, one trajectory each: state vectors, or column-stacked vec(rho)
 in the density modes, with every operator a polynomial in x applied
-power by power.  ``run_ensemble`` steps whole chunks through it;
-``propagate`` and the ``step_*`` functions are one-column calls that
-add the per-step gates.
+power by power.  ``run_ensemble`` steps whole chunks through it as
+``(d, n)`` batches; ``propagate`` and the ``step_*`` functions step one
+1-D ``(d,)`` column with float ``x`` and ``dw`` through the same
+formula, and add the per-step gates.  ``propagate`` checks the gates
+once per block of ``_CHECK_BLOCK`` steps, vectorised over the stored
+rows and scales, and reports the first failing step as a per-step check
+would.
 
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
@@ -52,6 +56,7 @@ __all__ = [
 
 MODES = ("linear", "nonlinear", "density_linear", "sme")
 MAX_STEPS = 10**6
+_CHECK_BLOCK = 256      # steps a single trajectory runs between two checks of its gates
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ def _poly_apply(mats, x, s):
 
 
 def _trace(v, d):
-    """Real trace of each column-stacked vec(rho) column of a (d*d, n) batch."""
-    return v[::d + 1].real.sum(axis=0)
+    """Real trace of each column-stacked vec(rho) column of a (d*d, n) or (d*d,) batch."""
+    return np.add.reduce(v[::d + 1].real, axis=0)
 
 
 class _Stepper:
@@ -106,7 +111,9 @@ class _Stepper:
 
     The trajectory axis is last and contiguous: states are ``(d, n)`` or
     ``(d*d, n)`` vec(rho) columns, and ``x``, ``dw``, m and the scale are
-    ``(n,)`` vectors broadcast along it.  ``step(state, x, dw, dt)``
+    ``(n,)`` vectors broadcast along it.  A single trajectory steps as one
+    1-D ``(d,)`` or ``(d*d,)`` column with float ``x`` and ``dw``; m and
+    the scale are then numpy scalars.  ``step(state, x, dw, dt)``
     returns ``(state, x, m_values, scale)``: the stepped columns; the
     next OU values, ``decay x + m dt + dw`` under the physical measure
     and ``decay x + dw`` otherwise; the measurement drift at the step
@@ -154,13 +161,13 @@ class _Stepper:
         elif self.mode == "nonlinear":
             if self.m_zero:
                 # with m = 0 the m terms add exact zeros: the linear step, renormalized
-                mv = np.zeros(state.shape[1])
+                mv = np.zeros(state.shape[1:])
                 out = state + dt * drift + dw * bp
             else:
-                mv = 2.0 * (np.conj(state) * bp).real.sum(axis=0)
+                mv = 2.0 * np.add.reduce((np.conj(state) * bp).real, axis=0)
                 out = state + dt * (drift + (0.5 * mv) * bp - (mv * mv / 8.0) * state)
                 out += dw * (bp - (0.5 * mv) * state)
-            scale = np.sqrt((out * np.conj(out)).real.sum(axis=0))
+            scale = np.sqrt(np.add.reduce((out * np.conj(out)).real, axis=0))
             out *= 1.0 / scale
         else:
             # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
@@ -203,26 +210,48 @@ def _collapsed(scale):
     return scale < 1e-12
 
 
-def _check_column(mode: str, out, scale):
-    """Raise if a one-column step collapsed before renormalization or left the finite range."""
-    if scale is not None and _collapsed(scale[0]):
+def _diverged(scale):
+    """Whether the norm or trace a step divided by leaves no usable state.
+
+    It may have collapsed, or be non-finite: an overflowed norm or trace
+    divides a finite state to zeros, which the next step then collapses.
+    """
+    return _collapsed(scale) | ~np.isfinite(scale)
+
+
+def _first_divergence(mode: str, cols, scales):
+    """(index, message) of the first of consecutive steps that broke a gate, or None.
+
+    ``cols`` holds the stepped columns as rows and ``scales`` the norms or
+    traces they were divided by (None in the linear modes).  A collapse is
+    reported as such; a non-finite scale or column as a non-finite state.
+    A column that left the finite range stays non-finite through the
+    division by its scale.
+    """
+    bad = ~np.isfinite(cols).all(axis=1)
+    if scales is not None:
+        bad |= _diverged(scales)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if scales is not None and _collapsed(scales[i]):
         what = "trace" if mode == "sme" else "state norm"
-        raise DivergenceError(f"{what} collapsed to {scale[0]:.3e} before renormalization")
-    # a column that left the finite range stays non-finite through the division by its scale
-    if not np.all(np.isfinite(out)):
-        what = "matrix" if mode in ("density_linear", "sme") else "state"
-        raise DivergenceError(f"{mode} step produced a non-finite {what}")
+        return i, f"{what} collapsed to {scales[i]:.3e} before renormalization"
+    what = "matrix" if mode in ("density_linear", "sme") else "state"
+    return i, f"{mode} step produced a non-finite {what}"
 
 
 def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
     """One step of a single state; returns (state, m value or None)."""
     stepper = _Stepper(m, mode)
-    col = np.asarray(vec(state) if stepper.density else state, dtype=complex)[:, None]
+    col = np.asarray(vec(state) if stepper.density else state, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, _, mv, scale = stepper.step(col, np.array([float(x)]), np.array([float(dw)]), dt)
-    _check_column(mode, out, scale)
-    out = unvec(out[:, 0], m.dim) if stepper.density else out[:, 0]
-    return out, (None if mv is None else float(mv[0]))
+        out, _, mv, scale = stepper.step(col, float(x), float(dw), dt)
+    failure = _first_divergence(mode, out[None], None if scale is None else np.array([scale]))
+    if failure is not None:
+        raise DivergenceError(failure[1])
+    out = unvec(out, m.dim) if stepper.density else out
+    return out, (None if mv is None else float(mv))
 
 
 def step_linear(psi, x: float, dw: float, dt: float, m: ModelSpec):
@@ -307,24 +336,35 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     # drift; a precomputed reference-measure path would be inconsistent
     replay = x_given is not None and not physical
     x_out = x_given if replay else np.zeros(n + 1)
+    # the physical modes are exactly those with m values and scales
     m_record = np.empty(n if physical else 0)
+    scales = np.empty(n) if physical else None
 
-    col = (vec(state) if stepper.density else state)[:, None]
+    col = vec(state) if stepper.density else state
     rows = np.empty((n + 1, col.shape[0]), dtype=complex)
-    rows[0] = col[:, 0]
-    # overflow is the very condition the finiteness checks detect
+    rows[0] = col
+    step = stepper.step
+    dws = dw.tolist()
+    xs = x_given.tolist() if replay else None
+    x = 0.0
+    # overflow is the very condition the finiteness checks detect; they run
+    # once per block, so a divergence costs at most one block of extra steps
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n):
-            col, x_next, mv, scale = stepper.step(col, x_out[k:k + 1], dw[k:k + 1], dt)
-            try:
-                _check_column(mode, col, scale)
-            except DivergenceError as err:
-                raise DivergenceError(f"{err} at step {k} (t = {k * dt:.6g})", step=k) from None
-            rows[k + 1] = col[:, 0]
-            if not replay:
-                x_out[k + 1] = x_next[0]
-            if physical:
-                m_record[k] = mv[0]
+        for lo in range(0, n, _CHECK_BLOCK):
+            hi = min(lo + _CHECK_BLOCK, n)
+            for k in range(lo, hi):
+                col, x_next, mv, scale = step(col, xs[k] if replay else x, dws[k], dt)
+                rows[k + 1] = col
+                if physical:
+                    m_record[k] = mv
+                    scales[k] = scale
+                if not replay:
+                    x = x_out[k + 1] = x_next
+            failure = _first_divergence(mode, rows[lo + 1:hi + 1],
+                                        None if scales is None else scales[lo:hi])
+            if failure is not None:
+                k = lo + failure[0]
+                raise DivergenceError(f"{failure[1]} at step {k} (t = {k * dt:.6g})", step=k)
 
     measure = "physical" if physical else "Q"
     if stepper.density:

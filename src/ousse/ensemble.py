@@ -14,11 +14,12 @@ partials are dropped once added, so memory does not grow with n_traj:
 besides the total, only the partials of the chunks in flight, about
 one per worker, are alive.
 
-A trajectory that diverges (its state leaves the finite range, or its
-norm or trace collapses as ``propagate`` would reject) poisons only its
-own column; the chunk is then recomputed without the dead ones, the
-failure is counted, and the run aborts if more than 1% of trajectories
-diverge (silent exclusion at a higher rate would bias the averages).
+A trajectory that diverges (its state leaves the finite range, or the
+norm or trace it is divided by collapses or overflows, as ``propagate``
+would reject) poisons only its own column; the chunk is then recomputed
+without the dead ones, the failure is counted, and the run aborts if
+more than 1% of trajectories diverge (silent exclusion at a higher rate
+would bias the averages).
 
 The generator L(x) is built once per model, in the oracle's vec
 convention, as superoperator coefficients of a polynomial in x; node
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _collapsed, _poly_apply, _Stepper, _trace, _unit_state
+from .dynamics import _diverged, _poly_apply, _Stepper, _trace, _unit_state
 from .errors import DivergenceError, ValidationError
 from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
@@ -131,7 +132,11 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
                 record(j, state, x)
                 j += 1
 
-    valid = np.isfinite(state).all(axis=0) & np.isfinite(x) & ~_collapsed(min_scale)
+    valid = np.isfinite(state).all(axis=0) & np.isfinite(x)
+    if scale is not None:
+        # an overflowed scale zeroes its columns, which the next step collapses;
+        # only the last step has no next one
+        valid &= ~_diverged(min_scale) & ~_diverged(scale)
     p["n"][0] = rows
     return p, valid
 

@@ -419,7 +419,7 @@ def test_propagate_reports_first_trace_collapse():
 
 
 def test_propagate_stops_soon_after_an_early_divergence(monkeypatch):
-    # a divergence at step 5 of 100 000 costs at most one block of 256 further steps
+    # a divergence at step 5 of 100 000 costs at most one block of further steps
     calls = []
     step = dynamics._Stepper.step
 
@@ -434,7 +434,18 @@ def test_propagate_stops_soon_after_an_early_divergence(monkeypatch):
     m = make_measurement_model(np.zeros((2, 2)), 10.0 * sigma_x, 0.0)
     text, k = _divergence("linear", E0, dw, m, TimeGrid(1e-5, n))
     assert k == 5 and "at step 5 " in text
-    assert 6 <= len(calls) <= 6 + 256
+    assert 6 <= len(calls) <= 6 + dynamics._CHECK_BLOCK
+
+
+def test_overflowed_norm_is_a_divergence_at_its_step():
+    # K = 1e154 sigma_z puts a drift of about 5e304 into the first step: the state stays
+    # finite, its squared norm overflows, and dividing by that infinite norm would zero it
+    m = make_random_hamiltonian(np.zeros((2, 2)), 1e154 * sigma_z, 0.0)
+    text, step = _divergence("nonlinear", E0, np.zeros(3), m, TimeGrid(1e-3, 3))
+    assert text == "nonlinear step produced a non-finite state at step 0 (t = 0)"
+    assert step == 0
+    with pytest.raises(DivergenceError, match="non-finite state"):
+        step_nonlinear(E0, 0.0, 0.0, 1e-3, m)
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])

@@ -421,6 +421,15 @@ def test_near_collapse_is_a_divergence(monkeypatch):
         run_ensemble(mx, TimeGrid(2.0 - 1e-13, 1), 2, SeedPolicy(0), "nonlinear", E0, workers=1)
 
 
+def test_overflowed_norm_is_a_divergence():
+    # the squared norm overflows in the first step (see the propagate twin); on a
+    # one-step grid no later step is left to collapse the zeroed state
+    m = make_random_hamiltonian(np.zeros((2, 2)), 1e154 * sigma_z, 0.0)
+    for n_steps in (1, 3):
+        with pytest.raises(DivergenceError, match="100 of 100 trajectories diverged"):
+            run_ensemble(m, TimeGrid(1e-3, n_steps), 100, SeedPolicy(3), "nonlinear", E0)
+
+
 def test_observable_series():
     grid = TimeGrid(1e-2, 100)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
