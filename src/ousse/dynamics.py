@@ -18,10 +18,8 @@ in the density modes, with every operator a polynomial in x applied
 power by power.  ``run_ensemble`` steps whole chunks through it as
 ``(d, n)`` batches; ``propagate`` and the ``step_*`` functions step one
 1-D ``(d,)`` column with float ``x`` and ``dw`` through the same
-formula, and add the per-step gates.  ``propagate`` checks the gates
-once per block of ``_CHECK_BLOCK`` steps, vectorised over the stored
-rows and scales, and reports the first failing step as a per-step check
-would.
+formula, and add the per-step gates (``propagate`` checks them once per
+block of steps).
 
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
@@ -225,8 +223,6 @@ def _first_divergence(mode: str, cols, scales):
     ``cols`` holds the stepped columns as rows and ``scales`` the norms or
     traces they were divided by (None in the linear modes).  A collapse is
     reported as such; a non-finite scale or column as a non-finite state.
-    A column that left the finite range stays non-finite through the
-    division by its scale.
     """
     bad = ~np.isfinite(cols).all(axis=1)
     if scales is not None:
@@ -321,6 +317,12 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     order), or a raw increment array.  Linear modes evolve under the
     reference measure; nonlinear and sme modes evolve under the
     physical measure, advancing X with the recorded m values.
+
+    The state steps through ``_Stepper.step`` as one 1-D column, with
+    ``x`` and ``dw`` as floats.  The gates are checked once per block of
+    ``_CHECK_BLOCK`` steps over the stored rows and scales; a
+    ``DivergenceError`` names the first failing step, as a check after
+    every step would, and costs at most one block of extra steps.
     """
     stepper = _Stepper(m, mode)
     if grid.n_steps > MAX_STEPS:
@@ -347,8 +349,7 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     dws = dw.tolist()
     xs = x_given.tolist() if replay else None
     x = 0.0
-    # overflow is the very condition the finiteness checks detect; they run
-    # once per block, so a divergence costs at most one block of extra steps
+    # overflow is the very condition the finiteness checks detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, _CHECK_BLOCK):
             hi = min(lo + _CHECK_BLOCK, n)
