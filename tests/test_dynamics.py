@@ -397,6 +397,17 @@ def test_propagate_reports_first_non_finite_step(mode):
     assert step == 7
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
+def test_propagate_reports_first_non_finite_ou_value(mode):
+    # at gamma = 0 two increments of 1e308 carry X past the largest float at step 1,
+    # while the zero model leaves the state as it was; an ensemble drops such a row
+    initial = outer(E0) if mode in ("density_linear", "sme") else E0
+    what = "matrix" if mode in ("density_linear", "sme") else "state"
+    text, step = _divergence(mode, initial, [1e308, 1e308, 0.0], zero_model(), TimeGrid(1e-3, 3))
+    assert text == f"{mode} step produced a non-finite {what} at step 1 (t = 0.001)"
+    assert step == 1
+
+
 def test_propagate_reports_first_norm_collapse():
     # B = sigma_x at dt = 2 maps E0 to dW E1 and back; a zero increment annihilates the state
     mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
