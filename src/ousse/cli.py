@@ -20,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig, parse_config
@@ -57,6 +56,8 @@ def _jsonable(obj):
 
 
 def _versions():
+    import scipy  # the bare package is cheap; scipy.linalg is what costs a cold start
+
     return {"ousse": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
 

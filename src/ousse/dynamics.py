@@ -23,8 +23,8 @@ block of steps).
 
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
-step start, and a non-finite or collapsing state raises a structured
-error naming the step.  The scheme is plain Euler-Maruyama throughout;
+step start, and a non-finite or collapsing state, or a non-finite OU
+value, raises a structured error naming the step.  The scheme is plain Euler-Maruyama throughout;
 accuracy is checked by convergence-order tests, not by higher-order
 steppers.
 """
@@ -217,14 +217,18 @@ def _diverged(scale):
     return _collapsed(scale) | ~np.isfinite(scale)
 
 
-def _first_divergence(mode: str, cols, scales):
+def _first_divergence(mode: str, cols, scales, xs=None):
     """(index, message) of the first of consecutive steps that broke a gate, or None.
 
-    ``cols`` holds the stepped columns as rows and ``scales`` the norms or
-    traces they were divided by (None in the linear modes).  A collapse is
-    reported as such; a non-finite scale or column as a non-finite state.
+    ``cols`` holds the stepped columns as rows, ``scales`` the norms or
+    traces they were divided by (None in the linear modes) and ``xs`` the
+    OU values the steps produced (None to skip them).  A collapse is
+    reported as such; a non-finite scale, column or OU value as a
+    non-finite state, as an ensemble drops such a column.
     """
     bad = ~np.isfinite(cols).all(axis=1)
+    if xs is not None:
+        bad |= ~np.isfinite(xs)
     if scales is not None:
         bad |= _diverged(scales)
     if not bad.any():
@@ -320,7 +324,7 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
 
     The state steps through ``_Stepper.step`` as one 1-D column, with
     ``x`` and ``dw`` as floats.  The gates are checked once per block of
-    ``_CHECK_BLOCK`` steps over the stored rows and scales; a
+    ``_CHECK_BLOCK`` steps over the stored rows, scales and OU values; a
     ``DivergenceError`` names the first failing step, as a check after
     every step would, and costs at most one block of extra steps.
     """
@@ -362,7 +366,8 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
                 if not replay:
                     x = x_out[k + 1] = x_next
             failure = _first_divergence(mode, rows[lo + 1:hi + 1],
-                                        None if scales is None else scales[lo:hi])
+                                        None if scales is None else scales[lo:hi],
+                                        x_out[lo + 1:hi + 1])
             if failure is not None:
                 k = lo + failure[0]
                 raise DivergenceError(f"{failure[1]} at step {k} (t = {k * dt:.6g})", step=k)

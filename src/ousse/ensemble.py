@@ -74,13 +74,32 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
     return rows
 
 
-def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, want_second):
-    """Propagate one chunk and accumulate sums at the flagged nodes.
+def _new_partials(n_out: int, dd: int, want_second: bool) -> dict:
+    """Zeroed sums over trajectories at ``n_out`` nodes of ``dd``-entry vec(rho) columns.
+
+    A chunk allocates its partials here, from their known shapes, before
+    its increments are drawn, and the first chunk's partials become the
+    running total.  Made after a freed increments block, a small
+    long-lived array could sit inside that block, and the next
+    increments would then no longer fit there: the heap grows by a
+    whole block, and a run's peak memory with it.
+    """
+    p = {"n": np.zeros(1), "w": np.zeros(n_out), "w2": np.zeros(n_out)}
+    p.update({k: np.zeros((n_out, dd), dtype=complex) for k in ("v", "xv", "g")})
+    p.update({k: np.zeros((n_out, dd)) for k in ("v2", "x2v2", "g2")})
+    if want_second:
+        p["s"] = np.zeros((n_out, dd, dd), dtype=complex)
+    return p
+
+
+def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mask, p):
+    """Propagate one chunk and write its sums at the flagged nodes into ``p``.
 
     States are columns, one per trajectory (see ``_Stepper``), and
-    ``dws`` is column-major.  Returns (partials, valid_mask).  Columns
-    that diverged (see the module docstring) contaminate only
-    themselves; the caller drops them and reruns.
+    ``dws`` is column-major.  ``p`` comes from ``_new_partials``; every
+    entry of it is overwritten.  Returns the valid mask.  Columns that
+    diverged (see the module docstring) contaminate only themselves;
+    the caller drops them and reruns.
     """
     rows = dws.shape[0]
     d = stepper.d
@@ -89,13 +108,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     state = np.tile((vec(initial) if density else initial)[:, None], rows).astype(complex)
     x = np.zeros(rows)
     dt = grid_eff.dt
-
-    n_out = int(out_mask.sum())
-    p = {"n": np.zeros(1), "w": np.zeros(n_out), "w2": np.zeros(n_out)}
-    p.update({k: np.zeros((n_out, dd), dtype=complex) for k in ("v", "xv", "g")})
-    p.update({k: np.zeros((n_out, dd)) for k in ("v2", "x2v2", "g2")})
-    if want_second:
-        p["s"] = np.zeros((n_out, dd, dd), dtype=complex)
+    want_second = "s" in p
 
     powers = np.ones((3, rows))
 
@@ -138,7 +151,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
         # only the last step has no next one
         valid &= ~_diverged(min_scale) & ~_diverged(scale)
     p["n"][0] = rows
-    return p, valid
+    return valid
 
 
 @dataclass(frozen=True)
@@ -242,16 +255,16 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
 
     def chunk(lo, hi):
         """(partials or None if a rerun diverged again, diverged row indices)."""
+        p = _new_partials(nodes.size, m.dim**2, want_second)
         dws = sample_wiener_rows(seeds, grid, lo, hi, level)
-        p, valid = _chunk_partials(stepper, grid_eff, dws, initial, out_mask, want_second)
+        valid = _chunk_partials(stepper, grid_eff, dws, initial, out_mask, p)
         bad = lo + np.flatnonzero(~valid)
         # divergence is row-local and deterministic, so a rerun on the
         # surviving rows reproduces them exactly; past 1% the run aborts
         if bad.size and bad.size <= 0.01 * n_traj:
             # dws[valid] would be C-ordered; compressing the transpose keeps steps contiguous
-            p, valid2 = _chunk_partials(stepper, grid_eff, dws.T.compress(valid, axis=1).T,
-                                        initial, out_mask, want_second)
-            if not valid2.all():
+            if not _chunk_partials(stepper, grid_eff, dws.T.compress(valid, axis=1).T,
+                                   initial, out_mask, p).all():
                 p = None
         return p, bad
 
@@ -271,9 +284,15 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
                 if p is None:
                     raise DivergenceError("trajectories diverged irreproducibly across reruns")
             if total is None:
-                total = {k: np.zeros_like(v) for k, v in p.items()}
-            for k in total:
-                total[k] += p[k]
+                # the first partials become the total, with no new array (see
+                # _new_partials); adding 0.0 turns -0.0 into +0.0, as a sum
+                # started from zeros would, and changes no other bit
+                total = p
+                for v in total.values():
+                    v += 0.0
+            else:
+                for k in total:
+                    total[k] += p[k]
 
     n = int(round(float(total["n"][0])))
     if n < 2:

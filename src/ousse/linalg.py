@@ -4,11 +4,12 @@ States are one dimensional complex ndarrays and operators are square
 complex ndarrays.  Dimensions stay small (a handful of levels), so
 everything is dense and no attempt is made at sparsity.  All checks
 use scaled tolerances: an operator entry of size ``s`` is compared at
-``1e-10 * (1 + s)`` unless a caller overrides it.
+``1e-10 * (1 + s)`` unless a caller overrides it.  Only ``matrix_exp``
+needs scipy, and it loads ``scipy.linalg`` at its first call, so
+importing ousse loads no scipy module.
 """
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .errors import ValidationError
 
@@ -89,9 +90,13 @@ def matrix_exp(a) -> np.ndarray:
 
     Delegates to scipy's scaling-and-squaring Pade implementation,
     which is accurate to close to machine precision for the small
-    well-conditioned matrices used here.
+    well-conditioned matrices used here.  ``scipy.linalg`` is imported
+    at the first call: its import costs most of a cold start, and only
+    the Lindblad-limit oracle and the closed-form solutions call this.
     """
-    return _expm(as_operator(a))
+    from scipy.linalg import expm
+
+    return expm(as_operator(a))
 
 
 def expectation(op, state) -> complex:
