@@ -24,9 +24,9 @@ block of steps).
 All modes share one contract: the OU value x is advanced with the same
 increment that drives the state, m (where present) is evaluated at the
 step start, and a non-finite or collapsing state, or a non-finite OU
-value, raises a structured error naming the step.  The scheme is plain Euler-Maruyama throughout;
-accuracy is checked by convergence-order tests, not by higher-order
-steppers.
+value, raises a structured error naming the step.  The scheme is plain
+Euler-Maruyama throughout; accuracy is checked by convergence-order
+tests, not by higher-order steppers.
 """
 
 import functools
