@@ -319,6 +319,15 @@ def test_covariance_rejects_bad_gamma(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_covariance_rejects_bad_grid(tmp_path, capsys):
+    base = ["covariance", "--gamma", "1.0", "--n-paths", "100", "--out", str(tmp_path / "o")]
+    assert main([*base, "--tmax", "1.0", "--dt", "0"]) == 1
+    assert "dt" in capsys.readouterr().err
+    assert main([*base, "--tmax", "1.0", "--dt", "0.3"]) == 1
+    assert "multiple of dt" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_error_codes(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

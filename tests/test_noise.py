@@ -176,6 +176,56 @@ def test_ou_path_physical():
     assert abs(x[-1] - (1.0 - math.exp(-1.0))) < 5e-3
 
 
+def _loop_ou(dw, gamma, dt):
+    # the Euler OU update written out step by step, drift-free
+    decay = 1.0 - gamma * dt
+    x = np.empty(len(dw) + 1)
+    x[0] = 0.0
+    acc = 0.0
+    for k in range(len(dw)):
+        acc = decay * acc + dw[k]
+        x[k + 1] = acc
+    return x
+
+
+def _loop_ou_physical(dw, m, gamma, dt):
+    # the same update with the measurement drift m[k] dt added before dW[k]
+    decay = 1.0 - gamma * dt
+    x = np.empty(len(dw) + 1)
+    x[0] = 0.0
+    acc = 0.0
+    for k in range(len(dw)):
+        acc = decay * acc + m[k] * dt + dw[k]
+        x[k + 1] = acc
+    return x
+
+
+def test_ou_paths_are_bitwise_the_written_out_update():
+    # bytes compare the sign of zero too, which np.array_equal does not
+    cases = [(TimeGrid(0.5, 3), 1.0, np.array([-5e-324, -0.0, -0.0]),
+              np.array([0.0, -0.0, 0.0]))]
+    for seed, gamma in ((40, 0.0), (41, 0.7), (42, 99.0)):
+        grid = TimeGrid(1e-2, 200)
+        pol = SeedPolicy(seed)
+        cases.append((grid, gamma, sample_wiener(grid, pol.stream(0)),
+                      sample_wiener(grid, pol.stream(1)) / grid.dt))
+    for grid, gamma, dw, m in cases:
+        x = ou_path(dw, gamma, grid)
+        want = _loop_ou(dw, gamma, grid.dt)
+        assert x.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(x), np.signbit(want))
+        for drift in (m, np.zeros_like(m)):
+            xp = ou_path_physical(dw, drift, gamma, grid)
+            want = _loop_ou_physical(dw, drift, gamma, grid.dt)
+            assert xp.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(xp), np.signbit(want))
+    # the drift-free path keeps its signed zeros; a path with a zero drift does not
+    grid, gamma, dw, _ = cases[0]
+    assert np.signbit(ou_path(dw, gamma, grid)).tolist() == [False, True, True, True]
+    assert np.signbit(ou_path_physical(dw, np.zeros(3), gamma, grid)).tolist() == [
+        False, True, False, False]
+
+
 def test_ou_variance_statistical():
     # Var(X_1) at gamma=1 vs (1-e^{-2})/2
     grid = TimeGrid(1e-3, 1000)
@@ -235,6 +285,18 @@ def test_sample_ou_values_matches_scalar_path_across_blocks():
     vals = sample_ou_values(pol, grid, 0.5, 101, nodes)
     for i in range(101):
         x = ou_path(sample_wiener(grid, pol.stream(i)), 0.5, grid)
+        assert vals[i].tobytes() == x[nodes].tobytes(), i
+
+
+def test_sample_ou_values_unsorted_and_repeated_nodes():
+    # columns follow at_indices as given, repeats included, in every chunk
+    grid = TimeGrid(0.01, 40)
+    pol = SeedPolicy(16)
+    nodes = [40, 0, 7, 7, 40, 3]
+    vals = sample_ou_values(pol, grid, 0.9, 23, nodes, chunk_size=5, workers=1)
+    assert vals.shape == (23, len(nodes))
+    for i in range(23):
+        x = ou_path(sample_wiener(grid, pol.stream(i)), 0.9, grid)
         assert vals[i].tobytes() == x[nodes].tobytes(), i
 
 
