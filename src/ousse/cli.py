@@ -28,7 +28,7 @@ from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_
                        run_ensemble)
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
 from .model import diffusion_operator, drift_operator, consistency_residual
-from .noise import SeedPolicy, TimeGrid, _node_index, ou_covariance_estimates
+from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
 from .oracle import build_liouvillian, propagate_lindblad
 
 __all__ = ["main", "cmd_simulate", "cmd_verify", "cmd_covariance"]
@@ -88,12 +88,16 @@ def _series_header(dim: int, observables) -> list:
     return cols
 
 
+def _estimate(cfg: ExperimentConfig, mode: str, workers):
+    """The ensemble of ``cfg`` run in ``mode``."""
+    return run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
+                        mode, cfg.initial, output_nodes=(cfg.output_nodes or None),
+                        level=cfg.level, workers=workers)
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
-    est = run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
-                       cfg.mode, cfg.initial,
-                       output_nodes=(cfg.output_nodes or None), level=cfg.level,
-                       workers=workers)
+    est = _estimate(cfg, cfg.mode, workers)
     series = {name: observable_series(est, o) for name, o in cfg.observables}
     elapsed = time.perf_counter() - t0
 
@@ -160,9 +164,7 @@ def _reference_estimate(cfg: ExperimentConfig, workers):
             "run.initial: the reference-measure checks need a state vector initial "
             "(or a density matrix with the random_hamiltonian kind)"
         )
-    return run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
-                        mode, cfg.initial, output_nodes=(cfg.output_nodes or None),
-                        level=cfg.level, workers=workers)
+    return _estimate(cfg, mode, workers)
 
 
 def _lindblad_oracle_report(cfg: ExperimentConfig, est) -> CheckReport:
@@ -259,14 +261,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
 
 def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: int,
                    out_dir: str, points: int = 5, workers=None) -> int:
-    if dt <= 0 or horizon <= 0:
-        raise ValidationError("dt and T must be > 0")
-    n_steps = _node_index(horizon, dt)
-    if n_steps is None or n_steps < 1:
-        raise ValidationError(f"T must be an integer multiple of dt, got T/dt = {horizon / dt}")
+    grid = TimeGrid.spanning(dt, horizon)
     if n_paths < 2:
         raise ValidationError(f"need at least 2 paths, got {n_paths}")
-    grid = TimeGrid(dt, n_steps)
     nodes = np.asarray(_covariance_nodes(grid, points), dtype=int)
     # gamma and gamma*dt are checked by the sampler
     estimates = ou_covariance_estimates(SeedPolicy(seed), grid, gamma, n_paths, nodes,
@@ -305,17 +302,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="ousse", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run an ensemble and write the time series")
-    sim.add_argument("--config", required=True, help="path to a JSON experiment config")
-    sim.add_argument("--seed", type=int, default=None, help="override run.master_seed")
-    sim.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    sim.add_argument("--out", default=None, help="output directory (default: from config)")
-
-    ver = sub.add_parser("verify", help="run the structural check battery")
-    ver.add_argument("--config", required=True)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    ver.add_argument("--out", default=None)
+    for name, text in (("simulate", "run an ensemble and write the time series"),
+                       ("verify", "run the structural check battery")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True, help="path to a JSON experiment config")
+        cmd.add_argument("--seed", type=int, default=None, help="override run.master_seed")
+        cmd.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+        cmd.add_argument("--out", default=None, help="output directory (default: from config)")
 
     cov = sub.add_parser("covariance", help="tabulate OU covariance, closed form vs sampled")
     cov.add_argument("--gamma", type=float, required=True)

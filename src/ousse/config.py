@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MODES, _unit_state
+from .dynamics import MODES
 from .errors import ConfigError, ValidationError
-from .linalg import hermitian_residual, hermitian_tolerance
+from .linalg import _unit_state, hermitian_residual, hermitian_tolerance
 from .model import (MAX_DEGREE, ModelSpec, OperatorPolynomial, make_measurement_model,
                     make_random_hamiltonian)
-from .noise import TimeGrid, _check_gamma, _node_index
+from .noise import TimeGrid, _check_gamma
 
 __all__ = ["ExperimentConfig", "CheckConfig", "parse_config", "KNOWN_SUITES"]
 
@@ -62,12 +62,9 @@ def _grid_nodes(ctx, times, path, grid):
         if not _is_num(t) or not math.isfinite(t):
             ctx.err(f"{path}[{i}]", f"expected a finite number, got {t!r}")
             continue
-        k = _node_index(t, grid.dt)
-        if k is None or not 0 <= k <= grid.n_steps:
-            ctx.err(f"{path}[{i}]",
-                    f"{t} is not a node of the grid (dt = {grid.dt}, T = {grid.horizon})")
-            continue
-        nodes.append(k)
+        k = _gate(ctx, f"{path}[{i}]", grid.node, t)
+        if k is not None:
+            nodes.append(k)
     return nodes
 
 
@@ -274,18 +271,9 @@ def parse_config(source) -> ExperimentConfig:
     else:
         dt = _get_num(ctx, gblock, "dt", "grid", required=True)
         horizon = _get_num(ctx, gblock, "T", "grid", required=True)
-        if dt is not None and dt <= 0:
-            ctx.err("grid.dt", f"must be > 0, got {dt}")
-            dt = None
-        if horizon is not None and horizon <= 0:
-            ctx.err("grid.T", f"must be > 0, got {horizon}")
-            horizon = None
         if dt is not None and horizon is not None:
-            n_steps = _node_index(horizon, dt)
-            if n_steps is None or n_steps < 1:
-                ctx.err("grid.T", f"must be an integer multiple of dt, got T/dt = {horizon / dt}")
-            else:
-                grid = _gate(ctx, "grid", TimeGrid, dt, n_steps)
+            # the rule fails on dt when dt is not positive, and on T otherwise
+            grid = _gate(ctx, "grid.T" if dt > 0 else "grid.dt", TimeGrid.spanning, dt, horizon)
     if model is not None and grid is not None:
         _gate(ctx, "grid.dt", _check_gamma, model.gamma, grid.dt)
 
@@ -364,10 +352,12 @@ def parse_config(source) -> ExperimentConfig:
                 if s not in KNOWN_SUITES:
                     ctx.err("checks.suites", f"unknown suite {s!r}; known: {KNOWN_SUITES}")
             suites = [s for s in suites if s in KNOWN_SUITES]
-    c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=5.0)
-    c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=5.0)
-    eps = _get_num(ctx, cblock, "perturb_drift_epsilon", "checks", default=0.0)
-    cov_n = _get_int(ctx, cblock, "covariance_n_paths", "checks", default=10000, minimum=2)
+    c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
+    c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
+    eps = _get_num(ctx, cblock, "perturb_drift_epsilon", "checks",
+                   default=CheckConfig.perturb_drift_epsilon)
+    cov_n = _get_int(ctx, cblock, "covariance_n_paths", "checks",
+                     default=CheckConfig.covariance_n_paths, minimum=2)
     if c_disc is not None and c_disc <= 0:
         ctx.err("checks.c_disc", f"must be > 0, got {c_disc}")
     if c_fd is not None and c_fd <= 0:

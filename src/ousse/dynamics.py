@@ -12,21 +12,13 @@ Modes
 ``sme``             nonlinear stochastic master equation with trace
                     renormalization after every step
 
-Each mode's step is written once, in ``_Stepper``, for a batch of
-columns, one trajectory each: state vectors, or column-stacked vec(rho)
-in the density modes, with every operator a polynomial in x applied
-power by power.  ``run_ensemble`` steps whole chunks through it as
-``(d, n)`` batches; ``propagate`` and the ``step_*`` functions step one
-1-D ``(d,)`` column with float ``x`` and ``dw`` through the same
-formula, and add the per-step gates (``propagate`` checks them once per
-block of steps).
-
-All modes share one contract: the OU value x is advanced with the same
-increment that drives the state, m (where present) is evaluated at the
-step start, and a non-finite or collapsing state, or a non-finite OU
-value, raises a structured error naming the step.  The scheme is plain
-Euler-Maruyama throughout; accuracy is checked by convergence-order
-tests, not by higher-order steppers.
+Each mode's step is written once, in ``_Stepper``; ``run_ensemble``,
+``propagate`` and the ``step_*`` functions all step through it.  The
+OU value x advances with the same increment that drives the state, and
+a non-finite or collapsing state, or a non-finite OU value, raises a
+structured error naming the step.  The scheme is plain Euler-Maruyama
+throughout; accuracy is checked by convergence-order tests, not by
+higher-order steppers.
 """
 
 import functools
@@ -35,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .linalg import as_operator, as_state, dagger, matrix_exp
+from .linalg import _unit_state, as_operator, as_state, dagger, matrix_exp
 from .model import ModelSpec
-from .noise import NoisePath, TimeGrid, _check_gamma, sample_wiener
+from .noise import NoisePath, TimeGrid, _check_gamma, _ou_next, ou_path, sample_wiener
 from .oracle import drift_coefficients, flow_coefficients, generator_coefficients, unvec, vec
 
 __all__ = [
@@ -178,30 +170,12 @@ class _Stepper:
                 out += dw * (flow - mv * state)
                 scale = _trace(out, self.d)
                 out *= 1.0 / scale
-        decay = 1.0 - self.m.gamma * dt
-        x = decay * x + dw if mv is None else decay * x + mv * dt + dw
+        x = _ou_next(x, dw, 1.0 - self.m.gamma * dt, None if mv is None else mv * dt)
         return out, x, mv, scale
 
 
 # ---------------------------------------------------------------------------
 # gates
-
-def _unit_state(state, density: bool, dim: int, what: str = "initial"):
-    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``."""
-    if density:
-        state = as_operator(state)
-        tr = float(np.real(np.trace(state)))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
-    else:
-        state = as_state(state)
-        nrm2 = float(np.real(np.vdot(state, state)))
-        if abs(nrm2 - 1.0) > 1e-9:
-            raise ValidationError(f"{what} norm^2 must be 1, got {nrm2:.12g}")
-    if state.shape[0] != dim:
-        raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
-    return state
-
 
 def _collapsed(scale):
     """Whether a norm or trace a step divided by was too small to renormalize by."""
@@ -298,27 +272,31 @@ def lindblad_apply(m: ModelSpec, x: float, rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single trajectories
 
-def _resolve_noise(noise, grid: TimeGrid):
-    """Return the increment array for the run; linear modes also get X."""
+def _resolve_noise(noise, grid: TimeGrid, gamma: float):
+    """The increments of the run; a NoisePath must also carry the OU path they drive."""
     if isinstance(noise, NoisePath):
         if noise.grid != grid:
             raise ValidationError("noise path grid does not match the propagation grid")
-        return noise.dW, noise.X
+        if not np.array_equal(noise.X, ou_path(noise.dW, gamma, grid)):
+            raise ValidationError(
+                f"noise path X is not the OU path of its dW at the model's gamma = {gamma!r}"
+            )
+        return noise.dW
     if isinstance(noise, np.random.Generator):
-        return sample_wiener(grid, noise), None
+        return sample_wiener(grid, noise)
     dw = np.asarray(noise, dtype=float)
     if dw.shape != (grid.n_steps,):
         raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
-    return dw, None
+    return dw
 
 
 def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     """Integrate one trajectory and keep the full path.
 
-    ``noise`` may be a NoisePath (increments replayed; in the nonlinear
-    modes only its dW is used, because X must be rebuilt with the
-    running drift), a Generator (increments drawn in the documented
-    order), or a raw increment array.  Linear modes evolve under the
+    ``noise`` may be a NoisePath (its increments are replayed; its X
+    must be ``ou_path(dW, m.gamma, grid)``), a Generator (increments
+    drawn in the documented order), or a raw increment array.  X is
+    always stepped with the state: linear modes evolve under the
     reference measure; nonlinear and sme modes evolve under the
     physical measure, advancing X with the recorded m values.
 
@@ -332,17 +310,14 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     if grid.n_steps > MAX_STEPS:
         raise ValidationError(f"n_steps {grid.n_steps} exceeds the per-trajectory cap {MAX_STEPS}")
     _check_gamma(m.gamma, grid.dt)
-    dw, x_given = _resolve_noise(noise, grid)
+    dw = _resolve_noise(noise, grid, m.gamma)
     state = _unit_state(initial, stepper.density, m.dim)
     n = grid.n_steps
     dt = grid.dt
 
-    physical = mode in ("nonlinear", "sme")
-    # under the physical measure X must carry the running measurement
-    # drift; a precomputed reference-measure path would be inconsistent
-    replay = x_given is not None and not physical
-    x_out = x_given if replay else np.zeros(n + 1)
     # the physical modes are exactly those with m values and scales
+    physical = mode in ("nonlinear", "sme")
+    x_out = np.zeros(n + 1)
     m_record = np.empty(n if physical else 0)
     scales = np.empty(n) if physical else None
 
@@ -351,20 +326,18 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     rows[0] = col
     step = stepper.step
     dws = dw.tolist()
-    xs = x_given.tolist() if replay else None
     x = 0.0
     # overflow is the very condition the finiteness checks detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, _CHECK_BLOCK):
             hi = min(lo + _CHECK_BLOCK, n)
             for k in range(lo, hi):
-                col, x_next, mv, scale = step(col, xs[k] if replay else x, dws[k], dt)
+                col, x, mv, scale = step(col, x, dws[k], dt)
                 rows[k + 1] = col
+                x_out[k + 1] = x
                 if physical:
                     m_record[k] = mv
                     scales[k] = scale
-                if not replay:
-                    x = x_out[k + 1] = x_next
             failure = _first_divergence(mode, rows[lo + 1:hi + 1],
                                         None if scales is None else scales[lo:hi],
                                         x_out[lo + 1:hi + 1])

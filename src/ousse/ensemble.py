@@ -1,18 +1,12 @@
 """Monte Carlo ensembles with deterministic seeding and structural checks.
 
 Estimates are averages over independent trajectories, each driven by
-its own counter-based stream (see the noise module).  Trajectories are
-propagated in vectorized chunks of fixed size, one trajectory per
-column of a chunk's state batch; per-chunk partial sums
-are added to one running total in chunk order, so a run is bitwise
-reproducible for a given (model, grid, n_traj, SeedPolicy, mode,
-chunk_size) regardless of how work is scheduled.  The chunk size is
-therefore part of the determinism contract; when a refined grid would
-make a chunk exceed a memory budget the size is halved by a fixed
-rule, which is again a pure function of the inputs.  Each chunk's
-partials are dropped once added, so memory does not grow with n_traj:
-besides the total, only the partials of the chunks in flight, about
-one per worker, are alive.
+its own counter-based stream (see the noise module), propagated in
+chunks by ``run_ensemble``.  A run is bitwise reproducible for a given
+(model, grid, n_traj, SeedPolicy, mode, chunk_size) regardless of how
+work is scheduled.  When a refined grid would make a chunk exceed a
+memory budget the chunk size is halved by a fixed rule, which is again
+a pure function of the inputs.
 
 A trajectory that diverges (its state leaves the finite range, or the
 norm or trace it is divided by collapses or overflows, as ``propagate``
@@ -20,10 +14,6 @@ would reject) poisons only its own column; the chunk is then recomputed
 without the dead ones, the failure is counted, and the run aborts if
 more than 1% of trajectories diverge (silent exclusion at a higher rate
 would bias the averages).
-
-The generator L(x) is built once per model, in the oracle's vec
-convention, as superoperator coefficients of a polynomial in x; node
-recording and the density steps apply it to vec(rho) columns as GEMMs.
 
 Linear-mode averages are unnormalized under the reference measure: the
 mean projector, the memory term E[X rho] and the mean squared norm are
@@ -37,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _diverged, _poly_apply, _Stepper, _trace, _unit_state
+from .dynamics import _diverged, _poly_apply, _Stepper, _trace
 from .errors import DivergenceError, ValidationError
-from .linalg import as_operator, dagger, hermitian_residual, hermitian_tolerance
+from .linalg import _unit_state, as_operator, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
-from .noise import (SeedPolicy, TimeGrid, _check_gamma, _node_index, ou_covariance_estimates,
-                    sample_wiener_rows)
+from .noise import SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates, sample_wiener_rows
 from .oracle import unvec, vec
 from .parallel import map_chunks, worker_count
 
@@ -390,7 +379,7 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
     they must agree within ``3 sqrt(se_Q^2 + se_P^2) + c_disc dt``.
     """
     o = as_operator(observable)
-    nodes = _times_to_nodes(t_list, grid)
+    nodes = [grid.node(t) for t in t_list]
     est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), "linear",
                          initial, output_nodes=nodes, level=level, workers=workers)
     est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), "nonlinear",
@@ -407,16 +396,6 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
     return CheckReport("girsanov", passed, tuple(entries),
                        {"n_traj": n_traj, "dt": dt, "c_disc": c_disc,
                         "diverged": {"reference": est_q.diverged, "physical": est_p.diverged}})
-
-
-def _times_to_nodes(t_list, grid: TimeGrid):
-    nodes = []
-    for t in t_list:
-        k = _node_index(t, grid.dt)
-        if k is None or not 0 <= k <= grid.n_steps:
-            raise ValidationError(f"time {t!r} is not a grid node (dt = {grid.dt})")
-        nodes.append(k)
-    return nodes
 
 
 def _sd_commutator(a_abs: np.ndarray, sd: np.ndarray) -> np.ndarray:

@@ -71,6 +71,23 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
+def _unit_state(state, density: bool, dim: int, what: str = "initial"):
+    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``."""
+    if density:
+        state = as_operator(state)
+        tr = float(np.real(np.trace(state)))
+        if abs(tr - 1.0) > 1e-9:
+            raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
+    else:
+        state = as_state(state)
+        nrm2 = float(np.real(np.vdot(state, state)))
+        if abs(nrm2 - 1.0) > 1e-9:
+            raise ValidationError(f"{what} norm^2 must be 1, got {nrm2:.12g}")
+    if state.shape[0] != dim:
+        raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
+    return state
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a.T)
 

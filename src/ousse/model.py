@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_operator, dagger, expectation, hermitian_residual, hermitian_tolerance
+from .linalg import (_unit_state, as_operator, dagger, expectation, hermitian_residual,
+                     hermitian_tolerance)
 from .noise import _check_gamma
 
 __all__ = [
@@ -205,9 +206,6 @@ def girsanov_drift(m: ModelSpec, x: float, psi_hat) -> float:
     Identically zero for the random_hamiltonian kind, where ``B`` is
     anti-hermitian.
     """
-    psi = np.asarray(psi_hat, dtype=complex)
-    norm2 = float(np.real(np.vdot(psi, psi)))
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ValidationError(f"state norm^2 = {norm2:.12g} is not 1 within 1e-9")
+    psi = _unit_state(psi_hat, False, m.dim, "state")
     b = m.b_poly(x)
     return float(expectation(b + dagger(b), psi).real)

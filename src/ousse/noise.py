@@ -19,21 +19,13 @@ split each coarse increment in two (in time order).  Refining therefore
 extends a stream instead of reshuffling it, and estimates at different
 step sizes can share the same Brownian path.
 
-Many streams at once (``sample_wiener_rows``, which feeds every
-ensemble chunk and OU sample): one Philox generator is reset, not
-rebuilt, to each stream's key with counter 0 and an empty buffer; each
-row's uniforms come from one call; rows are transformed in blocks that
-fit in cache; and the increments come back column-major, one step per
-contiguous column.  A row's bits do not depend on its block or chunk:
-row ``i`` is ``sample_wiener`` on stream ``i``.
-
 The OU path follows the Euler rule
 
     X[k+1] = (1 - gamma dt) X[k] + dW[k],    X[0] = 0,
 
-evaluated exactly in this form; the batched ensemble kernels replicate
-the same expression so that single-path and ensemble runs agree
-bitwise.
+with ``m[k] dt`` added before ``dW[k]`` under the physical measure.
+Every OU path in the package, single, sampled or stepped with a state,
+advances through the one update ``_ou_next``, so they agree bitwise.
 """
 
 import math
@@ -94,6 +86,26 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
+
+    @classmethod
+    def spanning(cls, dt: float, horizon: float) -> "TimeGrid":
+        """The grid of steps ``dt`` that ends at ``horizon``, a positive multiple of ``dt``."""
+        n_steps = _node_index(horizon, dt) if dt > 0.0 and horizon > 0.0 else None
+        if n_steps is None or n_steps < 1:
+            raise ValidationError(
+                f"dt must be > 0 and T a positive integer multiple of dt, got dt = {dt!r}, "
+                f"T = {horizon!r}"
+            )
+        return cls(dt, n_steps)
+
+    def node(self, t: float) -> int:
+        """The index ``k`` of the node ``k dt = t`` (see ``_node_index``); off the grid is an error."""
+        k = _node_index(t, self.dt)
+        if k is None or not 0 <= k <= self.n_steps:
+            raise ValidationError(
+                f"{t!r} is not a node of the grid (dt = {self.dt}, T = {self.horizon})"
+            )
+        return k
 
     def refined(self, level: int) -> "TimeGrid":
         """The grid with each step halved ``level`` times."""
@@ -249,8 +261,42 @@ def _check_gamma(gamma: float, dt: float = 0.0) -> float:
 def _node_index(t: float, dt: float):
     """The k with ``k dt = t`` to within ``1e-9 max(1, |t|)``, or None when t is off the grid."""
     t = float(t)
-    k = int(round(t / dt))
+    q = t / dt
+    if not math.isfinite(q):
+        return None
+    k = int(round(q))
     return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
+def _ou_next(x, dw, decay: float, drift=None):
+    """The Euler OU update ``decay x + dw``, or ``decay x + drift + dw``, in that order.
+
+    ``drift`` is ``m dt`` under the physical measure.  Without it no zero
+    is added, so a drift-free path keeps the signed zeros of its ``dw``.
+    """
+    return decay * x + dw if drift is None else decay * x + drift + dw
+
+
+def _ou_steps(dw, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
+    """X at every node of ``grid`` from ``X[0] = 0``, driven by ``dw`` and the drift ``m``."""
+    gamma = _check_gamma(gamma, grid.dt)
+    dw = np.asarray(dw, dtype=float)
+    if dw.shape != (grid.n_steps,):
+        raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
+    if m is None:
+        drift = [None] * grid.n_steps
+    else:
+        m = np.asarray(m, dtype=float)
+        if m.shape != dw.shape:
+            raise ValidationError(f"expected {grid.n_steps} drift values, got shape {m.shape}")
+        drift = (m * grid.dt).tolist()
+    decay = 1.0 - gamma * grid.dt
+    x = np.empty(grid.n_steps + 1)
+    x[0] = 0.0
+    acc = 0.0
+    for k, dwk in enumerate(dw.tolist()):
+        acc = x[k + 1] = _ou_next(acc, dwk, decay, drift[k])
+    return x
 
 
 def ou_path(dw: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
@@ -260,41 +306,17 @@ def ou_path(dw: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
     update is applied literally in this arithmetic form (replay
     contract).  ``dw`` must contain exactly ``n_steps`` increments.
     """
-    gamma = _check_gamma(gamma, grid.dt)
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.n_steps,):
-        raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
-    decay = 1.0 - gamma * grid.dt
-    x = np.empty(grid.n_steps + 1)
-    x[0] = 0.0
-    acc = 0.0
-    for k in range(grid.n_steps):
-        acc = decay * acc + dw[k]
-        x[k + 1] = acc
-    return x
+    return _ou_steps(dw, gamma, grid)
 
 
 def ou_path_physical(dw: np.ndarray, m: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
     """OU path with an extra drift, ``X[k+1] = (1-gamma dt) X[k] + m[k] dt + dW[k]``.
 
     ``m`` holds the drift evaluated at the step starts.  With ``m``
-    identically zero this reproduces :func:`ou_path` exactly.
+    identically zero this equals :func:`ou_path` up to the sign of zero:
+    the added ``0 dt`` turns a ``-0.0`` into ``+0.0``.
     """
-    gamma = _check_gamma(gamma, grid.dt)
-    dw = np.asarray(dw, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if dw.shape != (grid.n_steps,) or m.shape != (grid.n_steps,):
-        raise ValidationError(
-            f"expected {grid.n_steps} increments and drift values, got {dw.shape} and {m.shape}"
-        )
-    decay = 1.0 - gamma * grid.dt
-    x = np.empty(grid.n_steps + 1)
-    x[0] = 0.0
-    acc = 0.0
-    for k in range(grid.n_steps):
-        acc = decay * acc + m[k] * grid.dt + dw[k]
-        x[k + 1] = acc
-    return x
+    return _ou_steps(dw, gamma, grid, m)
 
 
 def ou_covariance(t, s, gamma: float):
@@ -383,22 +405,17 @@ def sample_ou_values(
     # balance the pool without changing a bit
     n_chunks = -(-n_chunks // n_workers) * n_workers
     decay = 1.0 - gamma * grid.dt
-    want = np.zeros(grid.n_steps + 1, dtype=bool)
-    want[idx] = True
+    # the output columns of each wanted node; a node may be asked for more than once
+    cols = {int(k): np.flatnonzero(idx == k) for k in np.unique(idx)}
 
     def chunk(lo, hi):
         dw = sample_wiener_rows(policy, grid, lo, hi)
+        out = np.zeros((hi - lo, idx.size))         # the columns of node 0 stay X[0] = 0
         x = np.zeros(hi - lo)
-        cols = {}
-        if want[0]:
-            cols[0] = x.copy()
         for k in range(grid.n_steps):
-            x = decay * x + dw[:, k]
-            if want[k + 1]:
-                cols[k + 1] = x.copy()
-        out = np.empty((hi - lo, idx.size))
-        for j, node in enumerate(idx):
-            out[:, j] = cols[node]
+            x = _ou_next(x, dw[:, k], decay)
+            if k + 1 in cols:
+                out[:, cols[k + 1]] = x[:, None]
         return out
 
     bounds = [(n_paths * c // n_chunks, n_paths * (c + 1) // n_chunks) for c in range(n_chunks)]

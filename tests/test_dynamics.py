@@ -306,6 +306,18 @@ def test_propagate_noise_forms_agree():
     assert t1.measure == "Q"
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_propagate_rejects_a_noise_path_of_another_gamma(mode):
+    # X always comes from the stepper, so a path's X must be the one its dW drives
+    grid = TimeGrid(1e-2, 60)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 0.9)
+    path = make_noise_path(grid, 0.5, SeedPolicy(33).stream(0))
+    with pytest.raises(ValidationError, match="noise path X"):
+        propagate(mode, PLUS, path, m, grid)
+    same = propagate(mode, PLUS, make_noise_path(grid, 0.9, SeedPolicy(33).stream(0)), m, grid)
+    assert same.X.tobytes() == propagate(mode, PLUS, path.dW, m, grid).X.tobytes()
+
+
 def test_propagate_physical_mode_x_replay():
     # nonlinear mode must rebuild X with the running drift record
     grid = TimeGrid(1e-2, 80)

@@ -113,6 +113,14 @@ def test_girsanov_drift():
         girsanov_drift(m, 0.0, 2.0 * e0)
 
 
+def test_girsanov_drift_rejects_bad_states():
+    m = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        girsanov_drift(m, 0.0, np.array([np.nan, 0.0]))
+    with pytest.raises(ValidationError, match="dimension"):
+        girsanov_drift(m, 0.0, np.array([1.0, 0.0, 0.0]))
+
+
 def test_girsanov_drift_rh_kind_vanishes():
     rng = np.random.default_rng(4)
     m = make_random_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), 1.2)

@@ -34,6 +34,19 @@ def test_time_grid():
         TimeGrid(0.1, 0)
 
 
+def test_time_grid_spanning_and_node():
+    g = TimeGrid.spanning(0.01, 0.31)
+    assert (g.dt, g.n_steps) == (0.01, 31)
+    for dt, horizon in ((0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.3, 1.0), (0.01, 1e-12),
+                        (0.01, math.inf), (math.inf, 1.0), (math.nan, 1.0), (1e-300, 1e300)):
+        with pytest.raises(ValidationError, match="multiple of dt"):
+            TimeGrid.spanning(dt, horizon)
+    assert [g.node(t) for t in (0.0, 0.15, 0.31)] == [0, 15, 31]
+    for t in (0.155, 0.32, -0.01, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="not a node"):
+            g.node(t)
+
+
 def test_seed_policy_streams_distinct():
     pol = SeedPolicy(99)
     keys = {pol.stream_key(i) for i in range(1000)}
