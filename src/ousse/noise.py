@@ -90,7 +90,7 @@ class TimeGrid:
     @classmethod
     def spanning(cls, dt: float, horizon: float) -> "TimeGrid":
         """The grid of steps ``dt`` that ends at ``horizon``, a positive multiple of ``dt``."""
-        n_steps = _node_index(horizon, dt) if dt > 0.0 and horizon > 0.0 else None
+        n_steps = _node_index(horizon, dt) if dt > 0.0 else None
         if n_steps is None or n_steps < 1:
             raise ValidationError(
                 f"dt must be > 0 and T a positive integer multiple of dt, got dt = {dt!r}, "
