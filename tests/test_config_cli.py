@@ -63,6 +63,21 @@ def test_with_seed_changes_only_the_seed():
     assert a == b
 
 
+SUITES_ALL = ("consistency", "martingale", "covariance", "mean_equation", "girsanov",
+              "lindblad_oracle")
+HALF = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+
+
+def test_default_batteries_in_table_order():
+    # the README session: a vector mode with an x-dependent generator
+    readme = dephasing_doc(n_traj=3000, dt=5e-3, T=1.0, observables={"sx": SX})
+    readme["run"]["mode"] = "nonlinear"
+    assert parse_config(readme).checks.suites == SUITES_ALL[:5]
+    assert parse_config(dephasing_doc(gamma=0.0)).checks.suites == SUITES_ALL
+    sme = dephasing_doc(mode="sme", initial=HALF)
+    assert parse_config(sme).checks.suites == SUITES_ALL[:4]
+
+
 def test_gamma_zero_enables_oracle_suite():
     cfg = parse_config(json.dumps(dephasing_doc(gamma=0.0)))
     assert "lindblad_oracle" in cfg.checks.suites
@@ -256,6 +271,26 @@ def test_verify_stock_battery_passes(tmp_path):
     for c in report["checks"]:
         assert c["passed"] is True
         assert all(e["statistic"] <= e["threshold"] for e in c["entries"])
+
+
+def test_verify_report_fields(tmp_path):
+    doc = dephasing_doc(n_traj=16, dt=1e-2, T=0.2)
+    doc["checks"] = {"suites": ["consistency"]}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report) == ["checks", "command", "master_seed", "passed", "timings",
+                              "versions"]
+    (check,) = report["checks"]
+    assert sorted(check) == ["details", "entries", "name", "passed"]
+    assert check["name"] == "consistency" and check["passed"] is True
+    assert check["details"] == {"perturb_drift_epsilon": 0.0, "points": 21,
+                                "x_range": [-5.0, 5.0]}
+    assert len(check["entries"]) == 21
+    for e in check["entries"]:
+        assert sorted(e) == ["label", "passed", "statistic", "threshold", "time"]
+        assert type(e["label"]) is str and type(e["passed"]) is bool
+        assert all(type(e[k]) is float for k in ("statistic", "threshold", "time"))
 
 
 def test_verify_reports_the_planted_defect(tmp_path):
