@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MODES
+from .dynamics import _check_mode
 from .errors import ConfigError, ValidationError
 from .linalg import _unit_state, hermitian_residual, hermitian_tolerance
 from .model import (MAX_DEGREE, ModelSpec, OperatorPolynomial, make_measurement_model,
@@ -28,8 +28,20 @@ from .noise import TimeGrid, _check_gamma
 
 __all__ = ["ExperimentConfig", "CheckConfig", "parse_config", "KNOWN_SUITES"]
 
-KNOWN_SUITES = ("consistency", "martingale", "covariance", "mean_equation",
-                "girsanov", "lindblad_oracle")
+_VECTOR = "a state vector initial"
+_REFERENCE = "a reference-measure ensemble (a state vector initial or the random_hamiltonian kind)"
+_CONSTANT = "an x-independent generator (for the random_hamiltonian kind, gamma = 0)"
+
+# what each suite needs from the run, in the default battery's order
+_SUITE_NEEDS = {
+    "consistency": (),
+    "martingale": (_REFERENCE,),
+    "covariance": (),
+    "mean_equation": (_REFERENCE,),
+    "girsanov": (_VECTOR,),
+    "lindblad_oracle": (_REFERENCE, _CONSTANT),
+}
+KNOWN_SUITES = tuple(_SUITE_NEEDS)
 
 _MAX_LEVEL = 4
 
@@ -66,6 +78,14 @@ def _grid_nodes(ctx, times, path, grid):
         if k is not None:
             nodes.append(k)
     return nodes
+
+
+def _unmet_needs(suite, mode, model):
+    """What ``suite`` needs that a run of ``model`` in ``mode`` lacks."""
+    vector = mode in ("linear", "nonlinear")
+    met = {_VECTOR: vector, _REFERENCE: vector or model.kind == "random_hamiltonian",
+           _CONSTANT: model.h_poly.is_constant and model.b_poly.is_constant}
+    return [need for need in _SUITE_NEEDS[suite] if not met[need]]
 
 
 def _get_num(ctx, block, key, path, default=None, required=False):
@@ -172,6 +192,8 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment; build it with ``parse_config``, whose gates the commands rely on."""
+
     model: ModelSpec
     grid: TimeGrid
     mode: str
@@ -232,6 +254,7 @@ def parse_config(source) -> ExperimentConfig:
 
     # -- model
     model = None
+    kind = None
     dim = None
     mblock = doc.get("model")
     if not isinstance(mblock, dict):
@@ -291,9 +314,8 @@ def parse_config(source) -> ExperimentConfig:
         rblock = {}
     else:
         mode = rblock.get("mode", "linear")
-        if mode not in MODES:
-            ctx.err("run.mode", f"expected one of {MODES}, got {mode!r}")
-            mode = "linear"
+        density = mode in ("density_linear", "sme")
+        mode = _gate(ctx, "run.mode", _check_mode, mode, kind) or "linear"
         n_traj = _get_int(ctx, rblock, "n_traj", "run", required=True, minimum=2)
         master_seed = _get_int(ctx, rblock, "master_seed", "run", required=True, minimum=0)
         level = _get_int(ctx, rblock, "level", "run", default=0, minimum=0)
@@ -323,7 +345,6 @@ def parse_config(source) -> ExperimentConfig:
                         ctx.err(f"run.observables.{name}", "matrix is not hermitian")
                         continue
                     observables.append((name, o))
-        density = mode in ("density_linear", "sme")
         if "initial" in rblock and dim is not None:
             parse = _parse_matrix if density else _parse_vector
             initial = parse(ctx, rblock["initial"], "run.initial", dim)
@@ -348,10 +369,13 @@ def parse_config(source) -> ExperimentConfig:
             ctx.err("checks.suites", "expected a list of suite names")
             suites = None
         else:
+            if not suites:
+                ctx.err("checks.suites", "expected at least one suite")
             for s in suites:
                 if s not in KNOWN_SUITES:
                     ctx.err("checks.suites", f"unknown suite {s!r}; known: {KNOWN_SUITES}")
-            suites = [s for s in suites if s in KNOWN_SUITES]
+                elif model is not None and (unmet := _unmet_needs(s, mode, model)):
+                    ctx.err("checks.suites", f"{s} needs {' and '.join(unmet)}")
     c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
     c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
     eps = _get_num(ctx, cblock, "perturb_drift_epsilon", "checks",
@@ -389,11 +413,7 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(ctx.errors)
 
     if suites is None:
-        suites = ["consistency", "martingale", "covariance", "mean_equation"]
-        if mode not in ("density_linear", "sme"):
-            suites.append("girsanov")
-        if model.h_poly.is_constant and model.b_poly.is_constant:
-            suites.append("lindblad_oracle")
+        suites = [s for s in KNOWN_SUITES if not _unmet_needs(s, mode, model)]
     if not g_times:
         g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
     checks = CheckConfig(tuple(suites), c_disc, c_fd, eps, cov_n, g_times)

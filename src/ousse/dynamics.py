@@ -96,6 +96,18 @@ def _trace(v, d):
     return np.add.reduce(v[::d + 1].real, axis=0)
 
 
+def _check_mode(mode, kind):
+    """``mode`` if it is known and integrates ``kind`` (None: checks the mode alone)."""
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "density_linear" and kind not in (None, "random_hamiltonian"):
+        raise ValidationError(
+            f"density_linear integrates the commutator-form equation, which needs the "
+            f"random_hamiltonian kind; got {kind!r}"
+        )
+    return mode
+
+
 class _Stepper:
     """One Euler-Maruyama step of a batch of columns and their OU values.
 
@@ -118,13 +130,7 @@ class _Stepper:
     """
 
     def __init__(self, m: ModelSpec, mode: str):
-        if mode not in MODES:
-            raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if mode == "density_linear" and m.kind != "random_hamiltonian":
-            raise ValidationError(
-                f"density_linear integrates the commutator-form equation, which needs the "
-                f"random_hamiltonian kind; got {m.kind!r}"
-            )
+        _check_mode(mode, m.kind)
         self.m = m
         self.mode = mode
         self.d = m.dim
@@ -252,7 +258,7 @@ def step_density_linear(rho, x: float, dw: float, dt: float, m: ModelSpec):
 
 def step_sme(rho_tilde, x: float, dw_hat: float, dt: float, m: ModelSpec):
     """One step of the nonlinear master equation, trace-renormalized."""
-    rho_tilde = _unit_state(rho_tilde, True, m.dim, "sme step state")
+    rho_tilde = _unit_state(rho_tilde, True, m.dim, "sme step state", cone=False)
     return _step_one("sme", rho_tilde, x, dw_hat, dt, m)[0]
 
 

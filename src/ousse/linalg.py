@@ -56,7 +56,7 @@ def as_state(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"state must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValidationError("state contains non-finite entries")
     return arr
 
@@ -66,18 +66,23 @@ def as_operator(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValidationError(f"operator must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValidationError("operator contains non-finite entries")
     return arr
 
 
-def _unit_state(state, density: bool, dim: int, what: str = "initial"):
-    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``."""
+def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: bool = True):
+    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``.
+
+    With ``cone``, a matrix must also be hermitian and PSD, as stepped SME matrices need not be.
+    """
     if density:
         state = as_operator(state)
         tr = float(np.real(np.trace(state)))
         if abs(tr - 1.0) > 1e-9:
             raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
+        if cone:
+            check_density_matrix(state)
     else:
         state = as_state(state)
         nrm2 = float(np.real(np.vdot(state, state)))

@@ -78,6 +78,104 @@ def test_default_batteries_in_table_order():
     assert parse_config(sme).checks.suites == SUITES_ALL[:4]
 
 
+SM = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def measurement_doc(b_coefficients, mode, n_traj=64, **run_extra):
+    initial = HALF if mode in ("density_linear", "sme") else PLUS
+    return {
+        "model": {"kind": "measurement", "dim": 2, "gamma": 1.0,
+                  "H": {"coefficients": [SZ]}, "B": {"coefficients": b_coefficients}},
+        "grid": {"dt": 1e-2, "T": 0.2},
+        "run": {"mode": mode, "n_traj": n_traj, "master_seed": 7, "initial": initial,
+                **run_extra},
+    }
+
+
+def _combinations():
+    """Every (kind, mode, constant or x-dependent generator) a config can run."""
+    for gamma in (0.0, 1.0):
+        for mode in ("linear", "nonlinear", "density_linear", "sme"):
+            doc = dephasing_doc(n_traj=64, T=0.2, gamma=gamma, mode=mode)
+            if mode in ("density_linear", "sme"):
+                doc["run"]["initial"] = HALF
+            yield f"random_hamiltonian-{mode}-gamma{gamma:g}", doc
+    b_x = [SM, [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]]
+    for label, b in (("constant", [SM]), ("x-dependent", b_x)):
+        for mode in ("linear", "nonlinear", "sme"):
+            yield f"measurement-{mode}-{label}", measurement_doc(b, mode)
+
+
+@pytest.mark.parametrize("label,doc", [pytest.param(label, doc, id=label)
+                                       for label, doc in _combinations()])
+def test_default_battery_runs_for_every_combination(tmp_path, label, doc):
+    doc["checks"] = {"covariance_n_paths": 500}
+    cfg = parse_config(doc)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code in (0, 3)
+    report = json.loads((out / "report.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert names == [{"covariance": "ou_covariance"}.get(s, s) for s in cfg.checks.suites]
+    if label.startswith("measurement-sme"):
+        assert cfg.checks.suites == ("consistency", "covariance")
+
+
+@pytest.mark.parametrize("doc,suite,need", [
+    (measurement_doc([SM], "sme"), "martingale", "reference-measure"),
+    (measurement_doc([SM], "sme"), "mean_equation", "reference-measure"),
+    (measurement_doc([SM], "sme"), "lindblad_oracle", "reference-measure"),
+    (dephasing_doc(mode="sme", initial=HALF), "girsanov", "state vector initial"),
+    (dephasing_doc(), "lindblad_oracle", "x-independent generator"),
+])
+def test_unrunnable_suite_is_a_config_error(tmp_path, capsys, doc, suite, need):
+    doc["checks"] = {"suites": ["consistency", suite]}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith(f"checks.suites: {suite} needs")
+    assert need in exc.value.errors[0]
+    out = tmp_path / "out"
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert f"config error: checks.suites: {suite} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_suite_list_is_a_config_error():
+    doc = dephasing_doc()
+    doc["checks"] = {"suites": []}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.errors == ["checks.suites: expected at least one suite"]
+
+
+def test_mode_rule_at_parse_time():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(measurement_doc([SM], "density_linear"))
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith("run.mode: density_linear integrates")
+    assert "random_hamiltonian kind; got 'measurement'" in exc.value.errors[0]
+    # an unknown mode is still reported when the model block fails too
+    doc = dephasing_doc(mode="sideways")
+    doc["model"]["kind"] = "other"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert any(e.startswith("model.kind") for e in exc.value.errors)
+    assert "run.mode: unknown mode 'sideways'" in "\n".join(exc.value.errors)
+
+
+def test_density_initial_must_be_a_density_matrix():
+    for initial, what in (([[[0.5, 0.0], [3.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], "hermitian"),
+                          ([[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]], "negative")):
+        doc = measurement_doc([SM], "sme", initial=initial)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith("run.initial: density matrix")
+        assert what in exc.value.errors[0]
+
+
 def test_gamma_zero_enables_oracle_suite():
     cfg = parse_config(json.dumps(dephasing_doc(gamma=0.0)))
     assert "lindblad_oracle" in cfg.checks.suites
@@ -351,6 +449,19 @@ def test_covariance_rejects_bad_gamma(tmp_path, capsys):
     for gamma in ("-1", "nan", "inf"):
         assert main([*base, "--gamma", gamma]) == 1
         assert "gamma must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_covariance_rejects_empty_tables(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled paths")
+
+    monkeypatch.setattr("ousse.noise.sample_ou_values", no_sampling)
+    base = ["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01",
+            "--n-paths", "100", "--out", str(tmp_path / "o")]
+    for points in ("0", "-2"):
+        assert main([*base, "--points", points]) == 1
+        assert "at least one time node" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -20,6 +20,7 @@ from ousse import (
     ou_path,
     ou_path_physical,
     propagate,
+    run_ensemble,
     sample_wiener,
     sigma_minus,
     sigma_x,
@@ -251,6 +252,38 @@ def test_step_sme_zero_model_and_gates():
     m = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
     with pytest.raises(ValidationError, match="trace"):
         step_sme(2.0 * rho, 0.0, 0.0, 1e-3, m)
+
+
+def test_density_gates_take_non_contiguous_matrices():
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    rho = outer(PLUS)
+    once = step_sme(rho, 0.1, 0.05, 1e-2, m)
+    assert not once.flags.c_contiguous
+    twice = step_sme(once, 0.2, -0.05, 1e-2, m)
+    assert np.array_equal(twice, step_sme(np.ascontiguousarray(once), 0.2, -0.05, 1e-2, m))
+    rh = make_random_hamiltonian(sigma_x.T, sigma_z, 1.0)
+    assert np.array_equal(rh.h_poly.coefficients[0], sigma_x)
+    grid = TimeGrid(1e-2, 10)
+    dw = 0.1 * np.sin(np.arange(10.0))
+    a = propagate("sme", np.asfortranarray(rho), dw, m, grid)
+    b = propagate("sme", rho, dw, m, grid)
+    assert np.array_equal(a.matrices, b.matrices)
+
+
+def test_density_initials_are_density_matrices():
+    grid = TimeGrid(1e-2, 10)
+    rh = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.0)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    skew = np.array([[0.5, 3.0], [0.0, 0.5]], dtype=complex)
+    negative = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
+    for rho, what in ((skew, "hermitian"), (negative, "negative")):
+        for mode, model in (("density_linear", rh), ("sme", m)):
+            with pytest.raises(ValidationError, match=what):
+                propagate(mode, rho, np.zeros(10), model, grid)
+            with pytest.raises(ValidationError, match=what):
+                run_ensemble(model, grid, 4, SeedPolicy(3), mode, rho)
+    # a stepped matrix may leave the cone: the per-step gate checks the trace only
+    assert np.isclose(np.trace(step_sme(negative, 0.0, 0.0, 1e-2, m)).real, 1.0)
 
 
 def test_step_sme_tracks_outer_of_nonlinear_step():

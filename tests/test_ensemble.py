@@ -541,3 +541,8 @@ def test_ou_covariance_check_runs():
     strict = ou_covariance_check(SeedPolicy(24), grid, 1.0, 4000, [25, 50, 75, 100],
                                  frac_required=1.01)
     assert not strict.passed  # the rule is a fraction, not a fixed count
+
+
+def test_ou_covariance_check_needs_a_node():
+    with pytest.raises(ValidationError, match="at least one time node"):
+        ou_covariance_check(SeedPolicy(24), TimeGrid(1e-2, 100), 1.0, 100, [])

@@ -116,6 +116,20 @@ def test_check_density_matrix():
     check_density_matrix(np.array([[0.6, 0.0], [0.0, 0.5]]), unit_trace=False)
 
 
+def test_validators_take_arrays_in_any_layout():
+    rng = np.random.default_rng(5)
+    a = random_operator(rng, 3)
+    for view in (a.T, np.asfortranarray(a), a[:, ::-1]):
+        assert np.array_equal(as_operator(view), view)
+    assert np.array_equal(as_state(a[:, 1]), a[:, 1])
+    bad = a.copy()
+    bad[2, 0] = complex(0.0, np.inf)
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_operator(bad.T)
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_state(bad[:, 0])
+
+
 def test_validators():
     with pytest.raises(ValidationError):
         as_state(np.array([[1.0, 0.0], [0.0, 1.0]]))
