@@ -6,8 +6,19 @@ columns, i.e. ``vec(rho) = rho.ravel(order="F")``, under which
 follow from that choice; mixing conventions is the classic silent bug
 in Liouvillian code, so every builder here goes through the same two
 helpers.
+
+Hermitian coordinates: ``hvec`` writes a Hermitian ``d x d`` matrix as
+``d^2`` real numbers, the ``d`` diagonal entries, then ``Re rho_ij``
+for ``i < j``, then ``Im rho_ij`` for ``i < j`` (both in row-major
+order of the upper triangle), and ``unhvec`` is its inverse.  The map
+is unscaled, so both directions are exact.  ``hvec_coefficients``
+turns vec-form coefficients that map Hermitian matrices to Hermitian
+ones (the generator and the flow) into real ``d^2 x d^2`` matrices
+acting on these coordinates; the steppers and the ensemble recording
+work in them, while the complex vec form here stays the reference.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,10 @@ __all__ = [
     "dephasing_coherence",
     "vec",
     "unvec",
+    "hvec",
+    "unhvec",
+    "hvec_basis",
+    "hvec_coefficients",
 ]
 
 
@@ -35,6 +50,56 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
+
+
+def hvec(rho) -> np.ndarray:
+    """Real Hermitian coordinates of ``rho``, or of each matrix of a stack on the leading axes.
+
+    The diagonal, then ``Re`` and ``Im`` of the upper triangle; the lower
+    triangle is not read.
+    """
+    rho = np.asarray(rho)
+    i, j = np.triu_indices(rho.shape[-1], 1)
+    upper = rho[..., i, j]
+    return np.concatenate([np.diagonal(rho, axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)
+
+
+def unhvec(c, dim: int) -> np.ndarray:
+    """The Hermitian ``(dim, dim)`` matrix (or stack of them) with coordinates ``c``."""
+    c = np.asarray(c, dtype=float)
+    i, j = np.triu_indices(dim, 1)
+    re, im = np.split(c[..., dim:], 2, axis=-1)
+    rho = np.zeros(c.shape[:-1] + (dim, dim), dtype=complex)
+    k = np.arange(dim)
+    rho.real[..., k, k] = c[..., :dim]
+    rho.real[..., i, j] = re
+    rho.real[..., j, i] = re
+    rho.imag[..., i, j] = im
+    rho.imag[..., j, i] = -im
+    return rho
+
+
+def hvec_basis(dim: int) -> np.ndarray:
+    """The complex ``(dim^2, dim^2)`` matrix T with ``vec(rho) = T hvec(rho)`` for Hermitian rho."""
+    dd = dim * dim
+    # row k of the transposed stack, read row-major, is vec of basis matrix k
+    return unhvec(np.eye(dd), dim).transpose(0, 2, 1).reshape(dd, dd).T
+
+
+def hvec_coefficients(coeffs) -> tuple:
+    """Real matrices ``R_j`` with ``hvec(unvec(G_j vec(rho))) = R_j hvec(rho)``, rho Hermitian.
+
+    Each vec-form ``G_j`` must map Hermitian matrices to Hermitian ones,
+    as those of :func:`generator_coefficients` and
+    :func:`flow_coefficients` do.  Column k of ``R_j`` is the coordinate
+    vector of ``G_j`` applied to the basis matrix of coordinate k.
+    """
+    dim = math.isqrt(coeffs[0].shape[0])
+    t = hvec_basis(dim)
+    dd = dim * dim
+    return tuple(np.ascontiguousarray(
+        hvec((g @ t).T.reshape(dd, dim, dim).transpose(0, 2, 1)).T) for g in coeffs)
 
 
 def _left(a: np.ndarray) -> np.ndarray:

@@ -20,9 +20,16 @@ from ousse import (
     vec,
 )
 
-from ousse.oracle import drift_coefficients, generator_coefficients
+from ousse.model import OperatorPolynomial
+from ousse.oracle import (drift_coefficients, flow_coefficients, generator_coefficients, hvec,
+                          hvec_basis, hvec_coefficients, unhvec)
 
 from conftest import random_hermitian, random_model, random_operator
+
+
+def _bits(a):
+    """The raw bits of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
 
 
 def test_vec_unvec_roundtrip():
@@ -33,6 +40,51 @@ def test_vec_unvec_roundtrip():
     # column stacking: vec reads columns in order
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(vec(a), np.array([1.0, 3.0, 2.0, 4.0]))
+
+
+def test_hvec_roundtrip_is_bitwise_exact():
+    rng = np.random.default_rng(3)
+    for d in range(1, 9):
+        for _ in range(5):
+            rho = random_hermitian(rng, d)
+            c = hvec(rho)
+            assert c.dtype == float and c.shape == (d * d,)
+            assert np.array_equal(_bits(unhvec(c, d)), _bits(rho))
+            assert np.array_equal(hvec(unhvec(c, d)), c)
+        # a stack converts matrix by matrix
+        stack = np.stack([random_hermitian(rng, d) for _ in range(3)])
+        assert np.array_equal(_bits(unhvec(hvec(stack), d)), _bits(stack))
+        assert np.array_equal(hvec(stack)[1], hvec(stack[1]))
+    # the order: diagonal, then Re and Im of the upper triangle, row-major
+    rho = np.array([[1.0, 2 + 3j, 4 + 5j], [2 - 3j, 6.0, 7 + 8j], [4 - 5j, 7 - 8j, 9.0]])
+    assert np.array_equal(hvec(rho), [1.0, 6.0, 9.0, 2.0, 4.0, 7.0, 3.0, 5.0, 8.0])
+    # the basis matrix takes coordinates to vec form
+    for d in (1, 2, 3, 5):
+        rho = random_hermitian(rng, d)
+        assert np.array_equal(hvec_basis(d) @ hvec(rho), vec(rho))
+
+
+def test_hvec_coefficients_reproduce_vec_form_products():
+    # the real generator and flow matrices act on coordinates as the complex
+    # vec-form coefficients act on vec(rho), power by power and summed in x
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 4):
+        for _ in range(6):
+            h = OperatorPolynomial(tuple(random_hermitian(rng, d) for _ in range(3)))
+            b = OperatorPolynomial(tuple(0.5 * random_operator(rng, d) for _ in range(3)))
+            for coeffs in (generator_coefficients(h.coefficients, b.coefficients),
+                           flow_coefficients(b.coefficients)):
+                real = hvec_coefficients(coeffs)
+                assert len(real) == len(coeffs)
+                for r in real:
+                    assert r.dtype == float and r.shape == (d * d, d * d)
+                rho = random_hermitian(rng, d)
+                for x in (-1.5, 0.0, 0.8):
+                    want = sum(x**j * (g @ vec(rho)) for j, g in enumerate(coeffs))
+                    got = sum(x**j * (r @ hvec(rho)) for j, r in enumerate(real))
+                    scale = sum(abs(x) ** j * np.max(np.abs(g) @ np.abs(vec(rho)))
+                                for j, g in enumerate(coeffs))
+                    assert np.max(np.abs(hvec(unvec(want, d)) - got)) <= 1e-13 * scale
 
 
 def test_liouvillian_matches_direct_generator():
