@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, parse_config
+from .config import KNOWN_SUITES, ExperimentConfig, _unmet_needs, parse_config
 from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_check,
                        mean_equation_residual, observable_series, ou_covariance_check,
                        run_ensemble)
@@ -170,6 +170,12 @@ def _covariance_nodes(grid: TimeGrid, points: int = 5):
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
+    # parse_config gates the suites, but a config rebuilt with dataclasses.replace skips it
+    for suite in cfg.checks.suites:
+        if suite not in KNOWN_SUITES:
+            raise ValidationError(f"checks.suites: unknown suite {suite!r}; known: {KNOWN_SUITES}")
+        if unmet := _unmet_needs(suite, cfg.mode, cfg.model):
+            raise ValidationError(f"checks.suites: {suite} needs {' and '.join(unmet)}")
     reports = []
     reference = functools.cache(functools.partial(_reference_estimate, cfg, workers))
     for suite in cfg.checks.suites:
@@ -227,10 +233,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
 def cmd_covariance(gamma: float, horizon: float, dt: float, n_paths: int, seed: int,
                    out_dir: str, points: int = 5, workers=None) -> int:
     grid = TimeGrid.spanning(dt, horizon)
-    if n_paths < 2:
-        raise ValidationError(f"need at least 2 paths, got {n_paths}")
     nodes = np.asarray(_covariance_nodes(grid, points), dtype=int)
-    # gamma and gamma*dt are checked by the sampler
+    # n_paths, gamma and gamma*dt are checked by the estimator and its sampler
     estimates = ou_covariance_estimates(SeedPolicy(seed), grid, gamma, n_paths, nodes,
                                         workers=workers)
     times = nodes * dt

@@ -14,6 +14,9 @@ Modes
 
 Each mode's step is written once, in ``_Stepper``; ``run_ensemble``,
 ``propagate`` and the ``step_*`` functions all step through it.  The
+density modes step the real Hermitian coordinates of rho (see
+:func:`ousse.oracle.hvec`) with real GEMMs; ``propagate`` and the
+``step_*`` functions take and return ``(d, d)`` matrices.  The
 OU value x advances with the same increment that drives the state, and
 a non-finite or collapsing state, or a non-finite OU value, raises a
 structured error naming the step.  The scheme is plain Euler-Maruyama
@@ -27,10 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .linalg import _unit_state, as_operator, as_state, dagger, matrix_exp
+from .linalg import (_unit_state, as_operator, as_state, dagger, hermitian_residual,
+                     hermitian_tolerance, matrix_exp)
 from .model import ModelSpec
 from .noise import NoisePath, TimeGrid, _check_gamma, _ou_next, ou_path, sample_wiener
-from .oracle import drift_coefficients, flow_coefficients, generator_coefficients, unvec, vec
+from .oracle import (drift_coefficients, flow_coefficients, generator_coefficients, hvec,
+                     hvec_coefficients, unhvec)
 
 __all__ = [
     "Trajectory",
@@ -91,9 +96,9 @@ def _poly_apply(mats, x, s):
     return out
 
 
-def _trace(v, d):
-    """Real trace of each column-stacked vec(rho) column of a (d*d, n) or (d*d,) batch."""
-    return np.add.reduce(v[::d + 1].real, axis=0)
+def _trace(c, d):
+    """Trace of each Hermitian coordinate column of a (d*d, n) or (d*d,) batch."""
+    return np.add.reduce(c[:d], axis=0)
 
 
 def _check_mode(mode, kind):
@@ -111,10 +116,11 @@ def _check_mode(mode, kind):
 class _Stepper:
     """One Euler-Maruyama step of a batch of columns and their OU values.
 
-    The trajectory axis is last and contiguous: states are ``(d, n)`` or
-    ``(d*d, n)`` vec(rho) columns, and ``x``, ``dw``, m and the scale are
-    ``(n,)`` vectors broadcast along it.  A single trajectory steps as one
-    1-D ``(d,)`` or ``(d*d,)`` column with float ``x`` and ``dw``; m and
+    The trajectory axis is last and contiguous: states are complex
+    ``(d, n)`` columns or real ``(d*d, n)`` Hermitian coordinate columns
+    (``hvec(rho)``), and ``x``, ``dw``, m and the scale are ``(n,)``
+    vectors broadcast along it.  A single trajectory steps as one 1-D
+    ``(d,)`` or ``(d*d,)`` column with float ``x`` and ``dw``; m and
     the scale are then numpy scalars.  ``step(state, x, dw, dt)``
     returns ``(state, x, m_values, scale)``: the stepped columns; the
     next OU values, ``decay x + m dt + dw`` under the physical measure
@@ -123,9 +129,11 @@ class _Stepper:
     trace (``sme``) the columns were divided by (None in the linear
     modes).  Every operator is held as per-power coefficients ``M_j``,
     applied as ``M_j @ state``: ``D(x)`` and ``B(x)`` for state vectors,
-    with m = 2 Re <psi|B(x) psi> from the same ``B(x) psi``; the vec-form
-    generator and flow, built on first use, for density columns and node
-    recording.  If every ``B_k + B_k^dag`` is zero (random_hamiltonian),
+    with m = 2 Re <psi|B(x) psi> from the same ``B(x) psi``; the
+    generator and flow as real matrices on Hermitian coordinates, built
+    on first use, for density columns and node recording.  The trace of
+    a coordinate column is the sum of its first d rows.  If every
+    ``B_k + B_k^dag`` is zero (random_hamiltonian),
     m is exactly zero and not computed.
     """
 
@@ -141,11 +149,11 @@ class _Stepper:
 
     @functools.cached_property
     def gen(self):
-        return generator_coefficients(self.m.h_poly.coefficients, self.b)
+        return hvec_coefficients(generator_coefficients(self.m.h_poly.coefficients, self.b))
 
     @functools.cached_property
     def flow(self):
-        return flow_coefficients(self.b)
+        return hvec_coefficients(flow_coefficients(self.b))
 
     def step(self, state, x, dw, dt):
         mv = scale = None
@@ -224,13 +232,22 @@ def _first_divergence(mode: str, cols, scales, xs=None):
 def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
     """One step of a single state; returns (state, m value or None)."""
     stepper = _Stepper(m, mode)
-    col = np.asarray(vec(state) if stepper.density else state, dtype=complex)
+    if stepper.density:
+        # the coordinates read only the upper triangle, so a lower one that differs is an error
+        state = as_operator(state)
+        res, tol = hermitian_residual(state), hermitian_tolerance(state)
+        if res > tol:
+            raise ValidationError(f"{mode} step matrix is not hermitian: "
+                                  f"residual {res:.3e} exceeds {tol:.3e}")
+        col = hvec(state)
+    else:
+        col = np.asarray(state, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out, _, mv, scale = stepper.step(col, float(x), float(dw), dt)
     failure = _first_divergence(mode, out[None], None if scale is None else np.array([scale]))
     if failure is not None:
         raise DivergenceError(failure[1])
-    out = unvec(out, m.dim) if stepper.density else out
+    out = unhvec(out, m.dim) if stepper.density else out
     return out, (None if mv is None else float(mv))
 
 
@@ -252,7 +269,7 @@ def step_nonlinear(psi_hat, x: float, dw_hat: float, dt: float, m: ModelSpec):
 
 
 def step_density_linear(rho, x: float, dw: float, dt: float, m: ModelSpec):
-    """One step of the linear density equation; hermiticity is structural."""
+    """One step of the linear density equation; rho must be hermitian, and so is the result."""
     return _step_one("density_linear", rho, x, dw, dt, m)[0]
 
 
@@ -327,8 +344,8 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     m_record = np.empty(n if physical else 0)
     scales = np.empty(n) if physical else None
 
-    col = vec(state) if stepper.density else state
-    rows = np.empty((n + 1, col.shape[0]), dtype=complex)
+    col = hvec(state) if stepper.density else state
+    rows = np.empty((n + 1, col.shape[0]), dtype=col.dtype)
     rows[0] = col
     step = stepper.step
     dws = dw.tolist()
@@ -353,9 +370,7 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
 
     measure = "physical" if physical else "Q"
     if stepper.density:
-        # column-stacked rows back to (d, d) matrices
-        mats = np.ascontiguousarray(rows.reshape(n + 1, m.dim, m.dim).transpose(0, 2, 1))
-        return DensityTrajectory(grid, mats, x_out, measure, m_record)
+        return DensityTrajectory(grid, unhvec(rows, m.dim), x_out, measure, m_record)
     weights = np.einsum("ki,ki->k", rows, np.conj(rows)).real
     return Trajectory(grid, rows, weights, x_out, m_record, measure)
 

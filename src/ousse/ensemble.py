@@ -32,7 +32,7 @@ from .errors import DivergenceError, ValidationError
 from .linalg import _unit_state, as_operator, dagger, hermitian_residual, hermitian_tolerance
 from .model import ModelSpec
 from .noise import SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates, sample_wiener_rows
-from .oracle import unvec, vec
+from .oracle import hvec, hvec_basis, unhvec, vec
 from .parallel import map_chunks, worker_count
 
 __all__ = [
@@ -64,7 +64,7 @@ def _chunk_rows(chunk_size: int, n_eff: int) -> int:
 
 
 def _new_partials(n_out: int, dd: int, want_second: bool) -> dict:
-    """Zeroed sums over trajectories at ``n_out`` nodes of ``dd``-entry vec(rho) columns.
+    """Zeroed sums over trajectories at ``n_out`` nodes of ``dd`` Hermitian coordinates.
 
     A chunk allocates its partials here, from their known shapes, before
     its increments are drawn, and the first chunk's partials become the
@@ -74,10 +74,9 @@ def _new_partials(n_out: int, dd: int, want_second: bool) -> dict:
     whole block, and a run's peak memory with it.
     """
     p = {"n": np.zeros(1), "w": np.zeros(n_out), "w2": np.zeros(n_out)}
-    p.update({k: np.zeros((n_out, dd), dtype=complex) for k in ("v", "xv", "g")})
-    p.update({k: np.zeros((n_out, dd)) for k in ("v2", "x2v2", "g2")})
+    p.update({k: np.zeros((n_out, dd)) for k in ("v", "xv", "g", "v2", "x2v2", "g2")})
     if want_second:
-        p["s"] = np.zeros((n_out, dd, dd), dtype=complex)
+        p["s"] = np.zeros((n_out, dd, dd))
     return p
 
 
@@ -85,8 +84,13 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     """Propagate one chunk and write its sums at the flagged nodes into ``p``.
 
     States are columns, one per trajectory (see ``_Stepper``), and
-    ``dws`` is column-major.  ``p`` comes from ``_new_partials``; every
-    entry of it is overwritten.  Returns the valid mask.  Columns that
+    ``dws`` is column-major.  Every node is recorded in Hermitian
+    coordinates ``c = hvec(rho)``: density columns are already in them,
+    and a state column gives ``|psi_i|^2``, then ``psi_i conj(psi_j)``
+    split into real and imaginary parts for ``i < j``.  ``p`` comes from
+    ``_new_partials``; every entry of it is overwritten: the sums of
+    ``c``, ``x c``, ``L(x) c``, their squares entry by entry, the trace
+    and its square, and ``c c^T``.  Returns the valid mask.  Columns that
     diverged (see the module docstring) contaminate only themselves;
     the caller drops them and reruns.
     """
@@ -94,30 +98,30 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     d = stepper.d
     dd = d * d
     density = stepper.density
-    state = np.tile((vec(initial) if density else initial)[:, None], rows).astype(complex)
+    state = np.tile((hvec(initial) if density else initial)[:, None], rows)
     x = np.zeros(rows)
     dt = grid_eff.dt
     want_second = "s" in p
 
+    upper = np.triu_indices(d, 1)
     powers = np.ones((3, rows))
 
     def record(j, state, x):
-        # vector modes record vec(|psi><psi|): entry i + d*k is psi_i conj(psi_k)
-        v = state if density else (state[None] * np.conj(state[:, None])).reshape(dd, rows)
-        lv = _poly_apply(stepper.gen, x, v)
-        # one pass: the rows Re v, Im v, Re Lv, Im Lv, Tr v and their squares,
-        # each reduced by one GEMM against the columns 1, x, x^2
-        parts = np.concatenate([v.real, v.imag, lv.real, lv.imag, _trace(v, d)[None]])
+        if density:
+            c = state
+        else:
+            z = state[upper[0]] * np.conj(state[upper[1]])
+            c = np.concatenate([(state * np.conj(state)).real, z.real, z.imag])
+        # one pass: the rows c, L(x) c, Tr c and their squares, each reduced
+        # by one GEMM against the columns 1, x, x^2
+        parts = np.concatenate([c, _poly_apply(stepper.gen, x, c), _trace(c, d)[None]])
         powers[1:] = x, x * x
         lin, sq = parts @ powers.T, (parts * parts) @ powers.T
-        c = lin[:-1].reshape(2, 2, dd, 3)           # [v or Lv, re or im, entry, power]
-        vs, gs = c[:, 0] + 1j * c[:, 1]
-        v2, g2 = sq[:-1].reshape(2, 2, dd, 3).sum(axis=1)
-        p["v"][j], p["xv"][j], p["g"][j] = vs[:, 0], vs[:, 1], gs[:, 0]
-        p["v2"][j], p["x2v2"][j], p["g2"][j] = v2[:, 0], v2[:, 2], g2[:, 0]
+        p["v"][j], p["xv"][j], p["g"][j] = lin[:dd, 0], lin[:dd, 1], lin[dd:-1, 0]
+        p["v2"][j], p["x2v2"][j], p["g2"][j] = sq[:dd, 0], sq[:dd, 2], sq[dd:-1, 0]
         p["w"][j], p["w2"][j] = lin[-1, 0], sq[-1, 0]
         if want_second:
-            p["s"][j] = v @ v.conj().T
+            p["s"][j] = c @ c.T
 
     # smallest norm or trace each column was divided by
     min_scale = np.full(rows, np.inf)
@@ -200,6 +204,13 @@ class CheckReport:
 def _entry_se(sum2, mean_abs2, n):
     var = np.maximum(0.0, (sum2 - n * mean_abs2) / max(n - 1, 1))
     return np.sqrt(var / n)
+
+
+def _entry_abs2(q, d):
+    """``(..., d, d)`` sums of ``|rho_ij|^2`` from per-coordinate sums of squares ``q``."""
+    k = d * (d - 1) // 2
+    re, im = q[..., d:d + k], q[..., d + k:]
+    return unhvec(np.concatenate([q[..., :d], re + im, np.zeros_like(re)], axis=-1), d).real
 
 
 def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, mode: str,
@@ -288,11 +299,13 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         raise DivergenceError("fewer than 2 trajectories survived")
 
     d = m.dim
-    n_out = nodes.size
     mean_w, vmean, cmean, gmean = (total[k] / n for k in ("w", "v", "xv", "g"))
 
-    def stack(vflat):
-        return np.stack([unvec(vflat[j], d) for j in range(n_out)])
+    def stderr(sum2, mean):
+        return _entry_se(_entry_abs2(sum2, d), _entry_abs2(mean * mean, d), n)
+
+    # E[vec rho vec rho^H] = T E[c c^T] T^H, with vec rho = T c
+    t = hvec_basis(d)
 
     est = EnsembleEstimate(
         grid=grid_eff,
@@ -307,13 +320,13 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         times=nodes * grid.dt,
         mean_weight=mean_w,
         mean_weight_stderr=_entry_se(total["w2"], mean_w**2, n),
-        eta=stack(vmean),
-        eta_stderr=stack(_entry_se(total["v2"], np.abs(vmean) ** 2, n)).real,
-        memory_term=stack(cmean),
-        memory_term_stderr=stack(_entry_se(total["x2v2"], np.abs(cmean) ** 2, n)).real,
-        generator_mean=stack(gmean),
-        generator_mean_stderr=stack(_entry_se(total["g2"], np.abs(gmean) ** 2, n)).real,
-        second_moments=(total["s"] / n) if want_second else None,
+        eta=unhvec(vmean, d),
+        eta_stderr=stderr(total["v2"], vmean),
+        memory_term=unhvec(cmean, d),
+        memory_term_stderr=stderr(total["x2v2"], cmean),
+        generator_mean=unhvec(gmean, d),
+        generator_mean_stderr=stderr(total["g2"], gmean),
+        second_moments=(t @ (total["s"] / n) @ t.conj().T) if want_second else None,
     )
     return est
 

@@ -433,6 +433,8 @@ def ou_covariance_estimates(policy: SeedPolicy, grid: TimeGrid, gamma: float, n_
     empirical fourth moments.
     """
     nodes = np.asarray(nodes, dtype=int)
+    if n_paths < 2:
+        raise ValidationError(f"need at least 2 paths, got {n_paths}")
     if nodes.size == 0:
         raise ValidationError("the covariance table needs at least one time node")
     samples = sample_ou_values(policy, grid, gamma, n_paths, nodes, workers=workers)

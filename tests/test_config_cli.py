@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import subprocess
@@ -6,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from ousse import ConfigError, dephasing_coherence, parse_config
-from ousse import parallel
-from ousse.cli import main
+from ousse import ConfigError, ValidationError, dephasing_coherence, parse_config
+from ousse import cli, parallel
+from ousse.cli import cmd_verify, main
 
 I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 Z2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -418,6 +419,24 @@ def test_verify_gamma_zero_runs_the_oracle(tmp_path):
     assert "lindblad_oracle" in names
 
 
+def test_verify_regates_a_rebuilt_config(tmp_path, monkeypatch, capsys):
+    # gamma = 1 makes H(x) depend on x, so the Lindblad oracle cannot serve this run
+    cfg = parse_config(json.dumps(dephasing_doc(n_traj=16, T=0.2)))
+    rebuilt = dataclasses.replace(
+        cfg, checks=dataclasses.replace(cfg.checks, suites=("lindblad_oracle",)))
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="lindblad_oracle needs an x-independent"):
+        cmd_verify(rebuilt, str(out))
+    unknown = dataclasses.replace(cfg, checks=dataclasses.replace(cfg.checks, suites=("nope",)))
+    with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+        cmd_verify(unknown, str(out))
+    monkeypatch.setattr(cli, "parse_config", lambda text: rebuilt)
+    cfg_path = write_config(tmp_path, dephasing_doc(n_traj=16, T=0.2))
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "lindblad_oracle needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_covariance_subcommand(tmp_path):
     out = tmp_path / "cov"
     code = main(["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01",
@@ -462,6 +481,18 @@ def test_covariance_rejects_empty_tables(tmp_path, capsys, monkeypatch):
     for points in ("0", "-2"):
         assert main([*base, "--points", points]) == 1
         assert "at least one time node" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_covariance_rejects_one_path(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled paths")
+
+    monkeypatch.setattr("ousse.noise.sample_ou_values", no_sampling)
+    for n_paths in ("1", "0"):
+        assert main(["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01",
+                     "--n-paths", n_paths, "--out", str(tmp_path / "o")]) == 1
+        assert "need at least 2 paths" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

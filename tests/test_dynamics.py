@@ -257,7 +257,7 @@ def test_step_sme_zero_model_and_gates():
 def test_density_gates_take_non_contiguous_matrices():
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     rho = outer(PLUS)
-    once = step_sme(rho, 0.1, 0.05, 1e-2, m)
+    once = np.asfortranarray(step_sme(rho, 0.1, 0.05, 1e-2, m))
     assert not once.flags.c_contiguous
     twice = step_sme(once, 0.2, -0.05, 1e-2, m)
     assert np.array_equal(twice, step_sme(np.ascontiguousarray(once), 0.2, -0.05, 1e-2, m))
@@ -284,6 +284,22 @@ def test_density_initials_are_density_matrices():
                 run_ensemble(model, grid, 4, SeedPolicy(3), mode, rho)
     # a stepped matrix may leave the cone: the per-step gate checks the trace only
     assert np.isclose(np.trace(step_sme(negative, 0.0, 0.0, 1e-2, m)).real, 1.0)
+
+
+def test_density_steps_reject_non_hermitian_matrices():
+    # the steps read a matrix through its Hermitian coordinates, the upper triangle only
+    rh = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.0)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    skew = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValidationError, match="not hermitian"):
+        step_density_linear(skew, 0.0, 0.1, 1e-2, rh)
+    with pytest.raises(ValidationError, match="not hermitian"):
+        step_sme(skew, 0.0, 0.1, 1e-2, m)
+    # the results are exactly hermitian, with a real diagonal
+    rho = outer(PLUS)
+    for out in (step_density_linear(rho, 0.3, 0.1, 1e-2, rh), step_sme(rho, 0.3, 0.1, 1e-2, m)):
+        assert np.array_equal(out, out.conj().T)
+        assert np.all(np.diag(out).imag == 0.0)
 
 
 def test_step_sme_tracks_outer_of_nonlinear_step():

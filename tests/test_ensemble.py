@@ -294,6 +294,30 @@ def test_every_mode_matches_scalar_propagation(mode):
     _assert_matches_scalar(mode, m, initial, 32)
 
 
+def _ladder(d=4):
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    return a, a.conj().T @ a
+
+
+@pytest.mark.parametrize("mode", ["density_linear", "sme"])
+def test_density_outputs_are_exactly_hermitian(mode):
+    # the driven, monitored 4-level ladder (random_hamiltonian for density_linear)
+    a, n = _ladder()
+    h = n + (a + a.conj().T)
+    m = (make_random_hamiltonian(n, a + a.conj().T, 1.0) if mode == "density_linear"
+         else make_measurement_model(h, a, 1.0))
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[-1, -1] = 1.0
+    grid = TimeGrid(0.0025, 100)
+    est = run_ensemble(m, grid, 64, SeedPolicy(14), mode, rho0)
+    traj = propagate(mode, rho0, SeedPolicy(14).stream(0), m, grid)
+    for mats in (est.eta, est.memory_term, est.generator_mean, traj.matrices):
+        assert np.array_equal(mats, np.conj(mats.transpose(0, 2, 1)))
+        assert np.all(np.diagonal(mats, axis1=1, axis2=2).imag == 0.0)
+    for se in (est.eta_stderr, est.memory_term_stderr, est.generator_mean_stderr):
+        assert np.array_equal(se, se.transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
 def test_every_mode_matches_scalar_sample_statistics(mode):
     # stderrs and second moments against sample statistics of one-path runs; a
@@ -546,3 +570,10 @@ def test_ou_covariance_check_runs():
 def test_ou_covariance_check_needs_a_node():
     with pytest.raises(ValidationError, match="at least one time node"):
         ou_covariance_check(SeedPolicy(24), TimeGrid(1e-2, 100), 1.0, 100, [])
+
+
+@pytest.mark.filterwarnings("error")
+def test_ou_covariance_check_needs_two_paths():
+    # one path has no sample variance: a ValidationError, not a warning and NaN thresholds
+    with pytest.raises(ValidationError, match="at least 2 paths"):
+        ou_covariance_check(SeedPolicy(1), TimeGrid(0.01, 10), 1.0, 1, [5])
