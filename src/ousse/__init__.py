@@ -82,7 +82,9 @@ from .oracle import (
     Liouvillian,
     build_liouvillian,
     dephasing_coherence,
+    hvec,
     propagate_lindblad,
+    unhvec,
     unvec,
     vec,
 )

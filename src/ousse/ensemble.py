@@ -15,6 +15,13 @@ without the dead ones, the failure is counted, and the run aborts if
 more than 1% of trajectories diverge (silent exclusion at a higher rate
 would bias the averages).
 
+Every recorded quantity is a Hermitian matrix, summed over trajectories
+in its real coordinates ``c`` (see :func:`ousse.oracle.hvec`): the
+state, the memory term and the generator value, their squares entry by
+entry, and the second moments ``c c^T``.  ``run_ensemble`` converts the
+merged sums to matrices once, after the last chunk, so the estimate's
+matrices are exactly Hermitian.
+
 Linear-mode averages are unnormalized under the reference measure: the
 mean projector, the memory term E[X rho] and the mean squared norm are
 exactly the quantities appearing in the mean-state equation and the
@@ -29,7 +36,7 @@ import numpy as np
 
 from .dynamics import _diverged, _poly_apply, _Stepper, _trace
 from .errors import DivergenceError, ValidationError
-from .linalg import _unit_state, as_operator, dagger, hermitian_residual, hermitian_tolerance
+from .linalg import _require_hermitian, _unit_state, as_operator, dagger
 from .model import ModelSpec
 from .noise import SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates, sample_wiener_rows
 from .oracle import hvec, hvec_basis, unhvec, vec
@@ -84,13 +91,10 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     """Propagate one chunk and write its sums at the flagged nodes into ``p``.
 
     States are columns, one per trajectory (see ``_Stepper``), and
-    ``dws`` is column-major.  Every node is recorded in Hermitian
-    coordinates ``c = hvec(rho)``: density columns are already in them,
-    and a state column gives ``|psi_i|^2``, then ``psi_i conj(psi_j)``
-    split into real and imaginary parts for ``i < j``.  ``p`` comes from
-    ``_new_partials``; every entry of it is overwritten: the sums of
-    ``c``, ``x c``, ``L(x) c``, their squares entry by entry, the trace
-    and its square, and ``c c^T``.  Returns the valid mask.  Columns that
+    ``dws`` is column-major.  A node records ``c = hvec(rho)``; a state
+    column gives it as ``|psi_i|^2``, then ``psi_i conj(psi_j)`` for
+    ``i < j``.  ``p`` comes from ``_new_partials``; every entry of it is
+    overwritten.  Returns the valid mask.  Columns that
     diverged (see the module docstring) contaminate only themselves;
     the caller drops them and reruns.
     """
@@ -344,8 +348,7 @@ def observable_series(est: EnsembleEstimate, observable):
     o = as_operator(observable)
     if o.shape[0] != est.dim:
         raise ValidationError(f"observable dimension {o.shape[0]} != estimate dimension {est.dim}")
-    if hermitian_residual(o) > hermitian_tolerance(o):
-        raise ValidationError("observable must be hermitian")
+    _require_hermitian(o, "observable")
     w = vec(dagger(o))
     out = []
     n = est.n_used

@@ -148,6 +148,14 @@ def hermitian_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)), initial=0.0))
 
 
+def _require_hermitian(a: np.ndarray, name: str):
+    """ValidationError naming ``name`` unless ``a`` is hermitian at the scaled tolerance."""
+    res = hermitian_residual(a)
+    tol = hermitian_tolerance(a)
+    if res > tol:
+        raise ValidationError(f"{name} is not hermitian: residual {res:.3e} exceeds {tol:.3e}")
+
+
 def check_density_matrix(rho, *, unit_trace: bool = True) -> np.ndarray:
     """Validate a density matrix and return it as a complex ndarray.
 
@@ -157,12 +165,7 @@ def check_density_matrix(rho, *, unit_trace: bool = True) -> np.ndarray:
     eigenvalues above ``-PSD_TOL``.
     """
     arr = as_operator(rho)
-    res = hermitian_residual(arr)
-    tol = hermitian_tolerance(arr)
-    if res > tol:
-        raise ValidationError(
-            f"density matrix not hermitian: residual {res:.3e} exceeds {tol:.3e}"
-        )
+    _require_hermitian(arr, "density matrix")
     tr = complex(np.trace(arr))
     if unit_trace and abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {tr:.17g} differs from 1 beyond {TRACE_TOL:.1e}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (_unit_state, as_operator, dagger, expectation, hermitian_residual,
-                     hermitian_tolerance)
+from .linalg import (_require_hermitian, _unit_state, as_operator, dagger, expectation,
+                     hermitian_residual)
 from .noise import _check_gamma
 
 __all__ = [
@@ -127,13 +127,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return self.h_poly.dim
-
-
-def _require_hermitian(op: np.ndarray, name: str):
-    res = hermitian_residual(op)
-    tol = hermitian_tolerance(op)
-    if res > tol:
-        raise ValidationError(f"{name} is not hermitian: residual {res:.3e} exceeds {tol:.3e}")
 
 
 def make_random_hamiltonian(h, k, gamma: float) -> ModelSpec:
