@@ -39,7 +39,7 @@ from .errors import DivergenceError, ValidationError
 from .linalg import _require_hermitian, _unit_state, as_operator, dagger
 from .model import ModelSpec
 from .noise import SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates, sample_wiener_rows
-from .oracle import hvec, hvec_basis, unhvec, vec
+from .oracle import _upper, hvec, hvec_basis, unhvec, vec
 from .parallel import map_chunks, worker_count
 
 __all__ = [
@@ -107,7 +107,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
     dt = grid_eff.dt
     want_second = "s" in p
 
-    upper = np.triu_indices(d, 1)
+    upper = _upper(d)
     powers = np.ones((3, rows))
 
     def record(j, state, x):

@@ -18,6 +18,7 @@ acting on these coordinates; the steppers and the ensemble recording
 work in them, while the complex vec form here stays the reference.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,14 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
+@functools.lru_cache(maxsize=None)
+def _upper(dim: int):
+    """Row and column indices of the upper triangle, ``i < j``, in row-major order."""
+    i, j = np.triu_indices(dim, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def hvec(rho) -> np.ndarray:
     """Real Hermitian coordinates of ``rho``, or of each matrix of a stack on the leading axes.
 
@@ -59,7 +68,7 @@ def hvec(rho) -> np.ndarray:
     triangle is not read.
     """
     rho = np.asarray(rho)
-    i, j = np.triu_indices(rho.shape[-1], 1)
+    i, j = _upper(rho.shape[-1])
     upper = rho[..., i, j]
     return np.concatenate([np.diagonal(rho, axis1=-2, axis2=-1).real, upper.real, upper.imag],
                           axis=-1)
@@ -68,7 +77,7 @@ def hvec(rho) -> np.ndarray:
 def unhvec(c, dim: int) -> np.ndarray:
     """The Hermitian ``(dim, dim)`` matrix (or stack of them) with coordinates ``c``."""
     c = np.asarray(c, dtype=float)
-    i, j = np.triu_indices(dim, 1)
+    i, j = _upper(dim)
     re, im = np.split(c[..., dim:], 2, axis=-1)
     rho = np.zeros(c.shape[:-1] + (dim, dim), dtype=complex)
     k = np.arange(dim)
@@ -97,7 +106,7 @@ def hvec_coefficients(coeffs) -> tuple:
     ``E_ii``, ``E_ij + E_ji`` or ``i (E_ij - E_ji)``.
     """
     dim = math.isqrt(coeffs[0].shape[0])
-    i, j = np.triu_indices(dim, 1)
+    i, j = _upper(dim)
     diag = np.arange(dim) * (dim + 1)
     up, lo = i + dim * j, j + dim * i
     out = []
