@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import KNOWN_SUITES, ExperimentConfig, _unmet_needs, parse_config
+from .config import ExperimentConfig, _suite_problems, parse_config
 from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_check,
                        mean_equation_residual, observable_series, ou_covariance_check,
                        run_ensemble)
@@ -171,11 +171,8 @@ def _covariance_nodes(grid: TimeGrid, points: int = 5):
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
     # parse_config gates the suites, but a config rebuilt with dataclasses.replace skips it
-    for suite in cfg.checks.suites:
-        if suite not in KNOWN_SUITES:
-            raise ValidationError(f"checks.suites: unknown suite {suite!r}; known: {KNOWN_SUITES}")
-        if unmet := _unmet_needs(suite, cfg.mode, cfg.model):
-            raise ValidationError(f"checks.suites: {suite} needs {' and '.join(unmet)}")
+    if problems := _suite_problems(cfg.checks.suites, cfg.mode, cfg.model):
+        raise ValidationError(f"checks.suites: {problems[0]}")
     reports = []
     reference = functools.cache(functools.partial(_reference_estimate, cfg, workers))
     for suite in cfg.checks.suites:
@@ -326,9 +323,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         for line in e.errors:
             print(f"config error: {line}", file=sys.stderr)
-        return 1
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:
         print(f"aborted: {e}", file=sys.stderr)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_mode
+from .dynamics import DENSITY_MODES, _check_mode
 from .errors import ConfigError, ValidationError
-from .linalg import _unit_state, hermitian_residual, hermitian_tolerance
+from .linalg import _require_hermitian, _unit_state
 from .model import (MAX_DEGREE, ModelSpec, OperatorPolynomial, make_measurement_model,
                     make_random_hamiltonian)
 from .noise import TimeGrid, _check_gamma
@@ -80,12 +80,19 @@ def _grid_nodes(ctx, times, path, grid):
     return nodes
 
 
-def _unmet_needs(suite, mode, model):
-    """What ``suite`` needs that a run of ``model`` in ``mode`` lacks."""
-    vector = mode in ("linear", "nonlinear")
-    met = {_VECTOR: vector, _REFERENCE: vector or model.kind == "random_hamiltonian",
-           _CONSTANT: model.h_poly.is_constant and model.b_poly.is_constant}
-    return [need for need in _SUITE_NEEDS[suite] if not met[need]]
+def _suite_problems(suites, mode, model):
+    """Why each of ``suites`` is unknown, or cannot run on ``model`` (if any) in ``mode``."""
+    if model is not None:
+        vector = mode not in DENSITY_MODES
+        met = {_VECTOR: vector, _REFERENCE: vector or model.kind == "random_hamiltonian",
+               _CONSTANT: model.h_poly.is_constant and model.b_poly.is_constant}
+    problems = []
+    for s in suites:
+        if s not in KNOWN_SUITES:
+            problems.append(f"unknown suite {s!r}; known: {KNOWN_SUITES}")
+        elif model is not None and (unmet := [n for n in _SUITE_NEEDS[s] if not met[n]]):
+            problems.append(f"{s} needs {' and '.join(unmet)}")
+    return problems
 
 
 def _get_num(ctx, block, key, path, default=None, required=False):
@@ -141,12 +148,9 @@ def _parse_matrix(ctx, node, path, dim=None):
     return out
 
 
-def _parse_vector(ctx, node, path, dim=None):
+def _parse_vector(ctx, node, path):
     if not isinstance(node, list) or not node:
         ctx.err(path, "expected a non-empty list of [re, im] pairs")
-        return None
-    if dim is not None and len(node) != dim:
-        ctx.err(path, f"expected {dim} entries, got {len(node)}")
         return None
     return np.array([_parse_complex_entry(ctx, v, f"{path}[{i}]")
                      for i, v in enumerate(node)])
@@ -170,11 +174,9 @@ def _parse_poly(ctx, block, key, path, dim, hermitian):
         return None
     mats = []
     for j, c in enumerate(coeffs):
-        m = _parse_matrix(ctx, c, f"{path}.{key}.coefficients[{j}]", dim)
-        if m is None:
-            return None
-        if hermitian and hermitian_residual(m) > hermitian_tolerance(m):
-            ctx.err(f"{path}.{key}.coefficients[{j}]", "matrix is not hermitian")
+        at = f"{path}.{key}.coefficients[{j}]"
+        m = _parse_matrix(ctx, c, at, dim)
+        if m is None or (hermitian and _gate(ctx, at, _require_hermitian, m, "matrix") is None):
             return None
         mats.append(m)
     return mats
@@ -314,7 +316,7 @@ def parse_config(source) -> ExperimentConfig:
         rblock = {}
     else:
         mode = rblock.get("mode", "linear")
-        density = mode in ("density_linear", "sme")
+        density = mode in DENSITY_MODES
         mode = _gate(ctx, "run.mode", _check_mode, mode, kind) or "linear"
         n_traj = _get_int(ctx, rblock, "n_traj", "run", required=True, minimum=2)
         master_seed = _get_int(ctx, rblock, "master_seed", "run", required=True, minimum=0)
@@ -338,18 +340,17 @@ def parse_config(source) -> ExperimentConfig:
                         ctx.err(f"run.observables.{name}",
                                 "name must be a valid identifier (it becomes a CSV column)")
                         continue
-                    o = _parse_matrix(ctx, obs[name], f"run.observables.{name}", dim)
-                    if o is None:
-                        continue
-                    if hermitian_residual(o) > hermitian_tolerance(o):
-                        ctx.err(f"run.observables.{name}", "matrix is not hermitian")
-                        continue
-                    observables.append((name, o))
+                    at = f"run.observables.{name}"
+                    o = _parse_matrix(ctx, obs[name], at, dim)
+                    if o is not None and _gate(ctx, at, _require_hermitian, o, "matrix") is not None:
+                        observables.append((name, o))
         if "initial" in rblock and dim is not None:
+            # the state gate checks the dimension
             parse = _parse_matrix if density else _parse_vector
-            initial = parse(ctx, rblock["initial"], "run.initial", dim)
+            initial = parse(ctx, rblock["initial"], "run.initial")
             if initial is not None:
-                initial = _gate(ctx, "run.initial", _unit_state, initial, density, dim)
+                initial = _gate(ctx, "run.initial", _unit_state, initial, density, dim,
+                                "initial", True)
         if initial is None and dim is not None and not ctx.errors:
             initial = np.zeros(dim, dtype=complex)
             initial[0] = 1.0
@@ -371,11 +372,8 @@ def parse_config(source) -> ExperimentConfig:
         else:
             if not suites:
                 ctx.err("checks.suites", "expected at least one suite")
-            for s in suites:
-                if s not in KNOWN_SUITES:
-                    ctx.err("checks.suites", f"unknown suite {s!r}; known: {KNOWN_SUITES}")
-                elif model is not None and (unmet := _unmet_needs(s, mode, model)):
-                    ctx.err("checks.suites", f"{s} needs {' and '.join(unmet)}")
+            for problem in _suite_problems(suites, mode, model):
+                ctx.err("checks.suites", problem)
     c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
     c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
     eps = _get_num(ctx, cblock, "perturb_drift_epsilon", "checks",
@@ -413,7 +411,7 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(ctx.errors)
 
     if suites is None:
-        suites = [s for s in KNOWN_SUITES if not _unmet_needs(s, mode, model)]
+        suites = [s for s in KNOWN_SUITES if not _suite_problems((s,), mode, model)]
     if not g_times:
         g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
     checks = CheckConfig(tuple(suites), c_disc, c_fd, eps, cov_n, g_times)

@@ -24,17 +24,16 @@ throughout; accuracy is checked by convergence-order tests, not by
 higher-order steppers.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .linalg import _require_hermitian, _unit_state, as_operator, as_state, dagger, matrix_exp
+from .linalg import _fit_state, _unit_state, as_operator, as_state, dagger, matrix_exp
 from .model import ModelSpec
-from .noise import NoisePath, TimeGrid, _check_gamma, _ou_next, ou_path, sample_wiener
-from .oracle import (drift_coefficients, flow_coefficients, generator_coefficients, hvec,
-                     hvec_coefficients, unhvec)
+from .noise import (NoisePath, TimeGrid, _check_gamma, _check_increments, _ou_next, ou_path,
+                    sample_wiener)
+from .oracle import hvec, unhvec
 
 __all__ = [
     "Trajectory",
@@ -49,6 +48,8 @@ __all__ = [
 ]
 
 MODES = ("linear", "nonlinear", "density_linear", "sme")
+DENSITY_MODES = ("density_linear", "sme")       # step density matrices
+PHYSICAL_MODES = ("nonlinear", "sme")           # evolve under the physical measure
 MAX_STEPS = 10**6
 _CHECK_BLOCK = 256      # steps a single trajectory runs between two checks of its gates
 
@@ -129,8 +130,8 @@ class _Stepper:
     modes).  Every operator is held as per-power coefficients ``M_j``,
     applied as ``M_j @ state``: ``D(x)`` and ``B(x)`` for state vectors,
     with m = 2 Re <psi|B(x) psi> from the same ``B(x) psi``; the
-    generator and flow as real matrices on Hermitian coordinates, built
-    on first use, for density columns and node recording.  The trace of
+    generator and flow as real matrices on Hermitian coordinates, for
+    density columns and node recording, built once per model.  The trace of
     a coordinate column is the sum of its first d rows.  If every
     ``B_k + B_k^dag`` is zero (random_hamiltonian),
     m is exactly zero and not computed.
@@ -141,23 +142,14 @@ class _Stepper:
         self.m = m
         self.mode = mode
         self.d = m.dim
-        self.density = mode in ("density_linear", "sme")
+        self.density = mode in DENSITY_MODES
         self.b = m.b_poly.coefficients
-        self.drift = drift_coefficients(m.h_poly.coefficients, self.b)
         self.m_zero = not any(np.any(bk + dagger(bk)) for bk in self.b)
-
-    @functools.cached_property
-    def gen(self):
-        return hvec_coefficients(generator_coefficients(self.m.h_poly.coefficients, self.b))
-
-    @functools.cached_property
-    def flow(self):
-        return hvec_coefficients(flow_coefficients(self.b))
 
     def step(self, state, x, dw, dt):
         mv = scale = None
         if not self.density:
-            drift = _poly_apply(self.drift, x, state)
+            drift = _poly_apply(self.m._drift, x, state)
             bp = _poly_apply(self.b, x, state)
         if self.mode == "linear":
             out = state + dt * drift + dw * bp
@@ -174,8 +166,8 @@ class _Stepper:
             out *= 1.0 / scale
         else:
             # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
-            flow = _poly_apply(self.flow, x, state)
-            out = state + dt * _poly_apply(self.gen, x, state)
+            flow = _poly_apply(self.m._flow, x, state)
+            out = state + dt * _poly_apply(self.m._gen, x, state)
             if self.mode == "density_linear":
                 out += dw * flow
             else:
@@ -224,20 +216,17 @@ def _first_divergence(mode: str, cols, scales, xs=None):
     if scales is not None and _collapsed(scales[i]):
         what = "trace" if mode == "sme" else "state norm"
         return i, f"{what} collapsed to {scales[i]:.3e} before renormalization"
-    what = "matrix" if mode in ("density_linear", "sme") else "state"
+    what = "matrix" if mode in DENSITY_MODES else "state"
     return i, f"{mode} step produced a non-finite {what}"
 
 
 def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
     """One step of a single state; returns (state, m value or None)."""
     stepper = _Stepper(m, mode)
-    if stepper.density:
-        # the coordinates read only the upper triangle, so a lower one that differs is an error
-        state = as_operator(state)
-        _require_hermitian(state, f"{mode} step matrix")
-        col = hvec(state)
-    else:
-        col = np.asarray(state, dtype=complex)
+    # a matrix's coordinates read only its upper triangle, so _fit_state's hermiticity matters
+    gate = _unit_state if mode in PHYSICAL_MODES else _fit_state
+    state = gate(state, stepper.density, m.dim, f"{mode} step state")
+    col = hvec(state) if stepper.density else state
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out, _, mv, scale = stepper.step(col, float(x), float(dw), dt)
     failure = _first_divergence(mode, out[None], None if scale is None else np.array([scale]))
@@ -260,7 +249,6 @@ def step_nonlinear(psi_hat, x: float, dw_hat: float, dt: float, m: ModelSpec):
     and returned so the caller can advance the OU path under the
     physical measure with the same value.
     """
-    psi_hat = _unit_state(psi_hat, False, m.dim, "nonlinear step state")
     return _step_one("nonlinear", psi_hat, x, dw_hat, dt, m)
 
 
@@ -271,7 +259,6 @@ def step_density_linear(rho, x: float, dw: float, dt: float, m: ModelSpec):
 
 def step_sme(rho_tilde, x: float, dw_hat: float, dt: float, m: ModelSpec):
     """One step of the nonlinear master equation, trace-renormalized."""
-    rho_tilde = _unit_state(rho_tilde, True, m.dim, "sme step state", cone=False)
     return _step_one("sme", rho_tilde, x, dw_hat, dt, m)[0]
 
 
@@ -303,10 +290,7 @@ def _resolve_noise(noise, grid: TimeGrid, gamma: float):
         return noise.dW
     if isinstance(noise, np.random.Generator):
         return sample_wiener(grid, noise)
-    dw = np.asarray(noise, dtype=float)
-    if dw.shape != (grid.n_steps,):
-        raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
-    return dw
+    return _check_increments(noise, grid)
 
 
 def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
@@ -330,12 +314,12 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
         raise ValidationError(f"n_steps {grid.n_steps} exceeds the per-trajectory cap {MAX_STEPS}")
     _check_gamma(m.gamma, grid.dt)
     dw = _resolve_noise(noise, grid, m.gamma)
-    state = _unit_state(initial, stepper.density, m.dim)
+    state = _unit_state(initial, stepper.density, m.dim, cone=True)
     n = grid.n_steps
     dt = grid.dt
 
     # the physical modes are exactly those with m values and scales
-    physical = mode in ("nonlinear", "sme")
+    physical = mode in PHYSICAL_MODES
     x_out = np.zeros(n + 1)
     m_record = np.empty(n if physical else 0)
     scales = np.empty(n) if physical else None

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _diverged, _poly_apply, _Stepper, _trace
+from .dynamics import PHYSICAL_MODES, _diverged, _poly_apply, _Stepper, _trace
 from .errors import DivergenceError, ValidationError
 from .linalg import _require_hermitian, _unit_state, as_operator, dagger
 from .model import ModelSpec
@@ -118,7 +118,7 @@ def _chunk_partials(stepper: _Stepper, grid_eff: TimeGrid, dws, initial, out_mas
             c = np.concatenate([(state * np.conj(state)).real, z.real, z.imag])
         # one pass: the rows c, L(x) c, Tr c and their squares, each reduced
         # by one GEMM against the columns 1, x, x^2
-        parts = np.concatenate([c, _poly_apply(stepper.gen, x, c), _trace(c, d)[None]])
+        parts = np.concatenate([c, _poly_apply(stepper.m._gen, x, c), _trace(c, d)[None]])
         powers[1:] = x, x * x
         lin, sq = parts @ powers.T, (parts * parts) @ powers.T
         p["v"][j], p["xv"][j], p["g"][j] = lin[:dd, 0], lin[:dd, 1], lin[dd:-1, 0]
@@ -236,7 +236,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     if n_traj < 2:
         raise ValidationError(f"need at least 2 trajectories, got {n_traj}")
     _check_gamma(m.gamma, grid.dt)
-    initial = _unit_state(initial, stepper.density, m.dim)
+    initial = _unit_state(initial, stepper.density, m.dim, cone=True)
 
     if output_nodes is None:
         stride = max(1, math.ceil(grid.n_steps / 200))
@@ -370,7 +370,7 @@ def martingale_check(est: EnsembleEstimate, c_disc: float = 5.0) -> CheckReport:
     Pass rule per node: ``|mean - 1| <= 3 stderr + c_disc * dt`` with
     dt the step actually integrated.
     """
-    if est.mode not in ("linear", "density_linear"):
+    if est.mode in PHYSICAL_MODES:
         raise ValidationError(
             f"martingale statistic needs a reference-measure run, got mode {est.mode!r}"
         )
@@ -432,7 +432,7 @@ def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.
     within ``3 * propagated stderr + c_fd * dt``, with the stderr
     propagated entrywise by triangle inequality (conservative).
     """
-    if est.mode not in ("linear", "density_linear"):
+    if est.mode in PHYSICAL_MODES:
         raise ValidationError(
             f"the mean-state equation is estimated under the reference measure; "
             f"got mode {est.mode!r}"

@@ -71,25 +71,32 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
-def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: bool = True):
-    """``state`` as a complex vector of unit norm, or matrix of unit trace, of dimension ``dim``.
-
-    With ``cone``, a matrix must also be hermitian and PSD, as stepped SME matrices need not be.
-    """
+def _fit_state(state, density: bool, dim: int, what: str):
+    """``state`` as a finite 1-D vector, or hermitian square matrix, of dimension ``dim``."""
+    state = as_operator(state) if density else as_state(state)
+    if state.shape[0] != dim:
+        raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
     if density:
-        state = as_operator(state)
+        _require_hermitian(state, "density matrix")
+    return state
+
+
+def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: bool = False):
+    """``state`` past ``_fit_state``, with unit norm or trace.
+
+    With ``cone``, a matrix must also be PSD, as initials must and stepped SME matrices need not be.
+    """
+    state = _fit_state(state, density, dim, what)
+    if density:
         tr = float(np.real(np.trace(state)))
-        if abs(tr - 1.0) > 1e-9:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
         if cone:
-            check_density_matrix(state)
+            check_density_matrix(state, unit_trace=False)
     else:
-        state = as_state(state)
         nrm2 = float(np.real(np.vdot(state, state)))
         if abs(nrm2 - 1.0) > 1e-9:
             raise ValidationError(f"{what} norm^2 must be 1, got {nrm2:.12g}")
-    if state.shape[0] != dim:
-        raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
     return state
 
 
@@ -148,12 +155,13 @@ def hermitian_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)), initial=0.0))
 
 
-def _require_hermitian(a: np.ndarray, name: str):
-    """ValidationError naming ``name`` unless ``a`` is hermitian at the scaled tolerance."""
+def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` if it is hermitian at the scaled tolerance, else a ValidationError naming ``name``."""
     res = hermitian_residual(a)
     tol = hermitian_tolerance(a)
     if res > tol:
         raise ValidationError(f"{name} is not hermitian: residual {res:.3e} exceeds {tol:.3e}")
+    return a
 
 
 def check_density_matrix(rho, *, unit_trace: bool = True) -> np.ndarray:

@@ -11,18 +11,19 @@ into the Hamiltonian, ``H(x) = H - gamma x K``; the state evolution is
 then unitary along each path.  ``measurement`` takes arbitrary
 polynomial families ``H(x)`` (hermitian-valued) and ``B(x)`` and models
 a diffusive measurement record.  In both cases the drift is derived,
-never stored, so the norm-consistency condition holds by construction;
+never given, so the norm-consistency condition holds by construction;
 ``consistency_residual`` re-checks it numerically anyway.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (_require_hermitian, _unit_state, as_operator, dagger, expectation,
-                     hermitian_residual)
+from .linalg import _require_hermitian, _unit_state, as_operator, dagger, expectation
 from .noise import _check_gamma
+from .oracle import drift_coefficients, flow_coefficients, generator_coefficients, hvec_coefficients
 
 __all__ = [
     "OperatorPolynomial",
@@ -93,9 +94,6 @@ class OperatorPolynomial:
         powers = np.vander(x, len(self.coefficients), increasing=True)
         return np.einsum("nk,kij->nij", powers, np.stack(self.coefficients))
 
-    def max_hermitian_residual(self) -> float:
-        return max(hermitian_residual(c) for c in self.coefficients)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -128,6 +126,21 @@ class ModelSpec:
     def dim(self) -> int:
         return self.h_poly.dim
 
+    # dynamics._Stepper's coefficients per power, each built once per model, at first use
+
+    @functools.cached_property
+    def _drift(self) -> tuple:
+        return drift_coefficients(self.h_poly.coefficients, self.b_poly.coefficients)
+
+    @functools.cached_property
+    def _gen(self) -> tuple:
+        return hvec_coefficients(generator_coefficients(self.h_poly.coefficients,
+                                                        self.b_poly.coefficients))
+
+    @functools.cached_property
+    def _flow(self) -> tuple:
+        return hvec_coefficients(flow_coefficients(self.b_poly.coefficients))
+
 
 def make_random_hamiltonian(h, k, gamma: float) -> ModelSpec:
     """Model with ``B = -iK`` and effective Hamiltonian ``H - gamma x K``.
@@ -136,10 +149,8 @@ def make_random_hamiltonian(h, k, gamma: float) -> ModelSpec:
     Along every noise path the generated evolution is unitary, so the
     squared state norm is conserved pathwise (up to integrator error).
     """
-    h = as_operator(h)
-    k = as_operator(k)
-    _require_hermitian(h, "H")
-    _require_hermitian(k, "K")
+    h = _require_hermitian(as_operator(h), "H")
+    k = _require_hermitian(as_operator(k), "K")
     if h.shape != k.shape:
         raise ValidationError(f"H shape {h.shape} != K shape {k.shape}")
     gamma = float(gamma)
@@ -158,8 +169,6 @@ def make_measurement_model(h_poly, b_poly, gamma: float) -> ModelSpec:
         b_poly = OperatorPolynomial.constant(b_poly)
     for j, c in enumerate(h_poly.coefficients):
         _require_hermitian(c, f"H coefficient {j}")
-    if h_poly.dim != b_poly.dim:
-        raise ValidationError(f"H dimension {h_poly.dim} != B dimension {b_poly.dim}")
     return ModelSpec("measurement", float(gamma), h_poly, b_poly)
 
 

@@ -114,6 +114,16 @@ class TimeGrid:
         return TimeGrid(self.dt / (1 << level), self.n_steps * (1 << level))
 
 
+def _check_increments(dw, grid: TimeGrid) -> np.ndarray:
+    """``dw`` as a float array of ``grid.n_steps`` finite increments: the one increments gate."""
+    dw = np.asarray(dw, dtype=float)
+    if dw.shape != (grid.n_steps,):
+        raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
+    if not np.isfinite(dw).all():
+        raise ValidationError("increments contain non-finite entries")
+    return dw
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """A realized (dW, X) pair on a grid, replayable into any integrator."""
@@ -123,16 +133,14 @@ class NoisePath:
     X: np.ndarray
 
     def __post_init__(self):
-        dw = np.array(self.dW, dtype=float)
+        dw = np.array(_check_increments(self.dW, self.grid))
         x = np.array(self.X, dtype=float)
-        if dw.shape != (self.grid.n_steps,):
-            raise ValidationError(f"dW must have {self.grid.n_steps} entries, got {dw.shape}")
         if x.shape != (self.grid.n_steps + 1,):
             raise ValidationError(f"X must have {self.grid.n_steps + 1} entries, got {x.shape}")
         if x[0] != 0.0:
             raise ValidationError(f"X[0] must be 0, got {x[0]!r}")
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(x))):
-            raise ValidationError("noise path contains non-finite entries")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("noise path X contains non-finite entries")
         for arr in (dw, x):
             arr.flags.writeable = False
         object.__setattr__(self, "dW", dw)
@@ -280,9 +288,7 @@ def _ou_next(x, dw, decay: float, drift=None):
 def _ou_steps(dw, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
     """X at every node of ``grid`` from ``X[0] = 0``, driven by ``dw`` and the drift ``m``."""
     gamma = _check_gamma(gamma, grid.dt)
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.n_steps,):
-        raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
+    dw = _check_increments(dw, grid)
     if m is None:
         drift = [None] * grid.n_steps
     else:

@@ -183,11 +183,10 @@ def build_liouvillian(h, b) -> Liouvillian:
     equation in the memoryless limit and of the constant-B case, used
     as the deterministic cross-check for trajectory averages.
     """
-    h = as_operator(h)
+    h = _require_hermitian(as_operator(h), "H")
     b = as_operator(b)
     if h.shape != b.shape:
         raise ValidationError(f"H shape {h.shape} != B shape {b.shape}")
-    _require_hermitian(h, "H")
     return Liouvillian(generator_coefficients((h,), (b,))[0], h.shape[0])
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ousse import dynamics
+from ousse import dynamics, ensemble, model, oracle
 from ousse import (
     DivergenceError,
+    NoisePath,
     SeedPolicy,
     TimeGrid,
     ValidationError,
@@ -302,6 +303,41 @@ def test_density_steps_reject_non_hermitian_matrices():
         assert np.all(np.diag(out).imag == 0.0)
 
 
+@pytest.mark.parametrize("step", [step_linear, step_nonlinear, step_density_linear, step_sme])
+def test_steps_gate_their_state(step):
+    # every step checks that its state fits the model, the linear ones included
+    m = make_random_hamiltonian(0.5 * sigma_z, sigma_x, 1.0)
+    density = step in (step_density_linear, step_sme)
+    good = outer(PLUS) if density else PLUS
+    step(good, 0.1, 0.05, 1e-2, m)
+    non_finite = np.array(good, dtype=complex)
+    non_finite.flat[0] = np.nan
+    wrong_dim = np.eye(3) / 3 if density else np.array([1.0, 0.0, 0.0])
+    wrong_ndim = PLUS if density else outer(PLUS)
+    for state, problem in ((wrong_dim, "dimension 3 != model dimension 2"),
+                           (wrong_ndim, "square matrix" if density else "1-D vector"),
+                           (non_finite, "non-finite")):
+        with pytest.raises(ValidationError, match=problem):
+            step(state, 0.1, 0.05, 1e-2, m)
+
+
+def test_steps_build_the_model_coefficients_once(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return oracle.generator_coefficients(*args)
+
+    # wherever a module of the package holds the builder
+    for module in (dynamics, ensemble, model):
+        if hasattr(module, "generator_coefficients"):
+            monkeypatch.setattr(module, "generator_coefficients", spy)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    rho = step_sme(outer(PLUS), 0.1, 0.05, 1e-2, m)
+    step_sme(rho, 0.2, -0.05, 1e-2, m)
+    assert len(calls) == 1
+
+
 def test_step_sme_tracks_outer_of_nonlinear_step():
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     rng = np.random.default_rng(23)
@@ -425,6 +461,23 @@ def test_propagate_validation():
         # gamma dt >= 1 rejected before stepping
         propagate("linear", PLUS, np.zeros(10), make_random_hamiltonian(
             np.zeros((2, 2)), sigma_z, 150.0), grid)
+
+
+@pytest.mark.parametrize("dw, problem", [
+    (np.where(np.arange(10) == 4, np.nan, 0.0), "non-finite"),
+    (np.where(np.arange(10) == 4, np.inf, 0.0), "non-finite"),
+    (np.zeros(9), "expected 10 increments"),
+], ids=["nan", "inf", "short"])
+def test_increments_pass_one_gate(dw, problem):
+    # raw increments, the OU paths they drive and a NoisePath all reject the same arrays
+    grid = TimeGrid(1e-2, 10)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    for call in (lambda: propagate("linear", PLUS, dw, m, grid),
+                 lambda: ou_path(dw, 1.0, grid),
+                 lambda: ou_path_physical(dw, np.zeros(10), 1.0, grid),
+                 lambda: NoisePath(grid, dw, np.zeros(11))):
+        with pytest.raises(ValidationError, match=problem):
+            call()
 
 
 def test_propagate_divergence_reports_step():
