@@ -76,9 +76,7 @@ def _fit_state(state, density: bool, dim: int, what: str):
     state = as_operator(state) if density else as_state(state)
     if state.shape[0] != dim:
         raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
-    if density:
-        _require_hermitian(state, "density matrix")
-    return state
+    return _require_hermitian(state, "density matrix") if density else state
 
 
 def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: bool = False):
@@ -92,7 +90,7 @@ def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: boo
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"{what} trace must be 1, got {tr:.12g}")
         if cone:
-            check_density_matrix(state, unit_trace=False)
+            _require_psd(state)
     else:
         nrm2 = float(np.real(np.vdot(state, state)))
         if abs(nrm2 - 1.0) > 1e-9:
@@ -164,21 +162,22 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _require_psd(rho: np.ndarray) -> np.ndarray:
+    """``rho``, a hermitian matrix, if no eigenvalue lies below ``-PSD_TOL``."""
+    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
+    if w.min(initial=0.0) < -PSD_TOL:
+        raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
+    return rho
+
+
 def check_density_matrix(rho, *, unit_trace: bool = True) -> np.ndarray:
     """Validate a density matrix and return it as a complex ndarray.
 
     Checks hermiticity at the scaled tolerance, trace one within
     ``TRACE_TOL`` (skipped when ``unit_trace`` is false, as for the
     unnormalized matrices evolved under the reference measure), and
-    eigenvalues above ``-PSD_TOL``.
+    eigenvalues above ``-PSD_TOL``, through the state gates.
     """
     arr = as_operator(rho)
-    _require_hermitian(arr, "density matrix")
-    tr = complex(np.trace(arr))
-    if unit_trace and abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"density matrix trace {tr:.17g} differs from 1 beyond {TRACE_TOL:.1e}")
-    # eigvalsh is safe after the hermiticity gate above
-    w = np.linalg.eigvalsh(0.5 * (arr + dagger(arr)))
-    if w.min(initial=0.0) < -PSD_TOL:
-        raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
-    return arr
+    gate = _unit_state if unit_trace else _fit_state
+    return _require_psd(gate(arr, True, arr.shape[0], "density matrix"))
