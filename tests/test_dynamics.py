@@ -328,7 +328,7 @@ def test_steps_build_the_model_coefficients_once(monkeypatch):
         calls.append(args)
         return oracle.generator_coefficients(*args)
 
-    # wherever a module of the package holds the builder
+    # in every module of the package that holds a reference to it
     for module in (dynamics, ensemble, model):
         if hasattr(module, "generator_coefficients"):
             monkeypatch.setattr(module, "generator_coefficients", spy)
