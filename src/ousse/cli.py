@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, _suite_problems, parse_config
+from .dynamics import _measure_modes
 from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_check,
                        mean_equation_residual, observable_series, ou_covariance_check,
                        run_ensemble)
@@ -144,7 +145,7 @@ def _consistency_report(cfg: ExperimentConfig) -> CheckReport:
 
 
 def _reference_estimate(cfg: ExperimentConfig, workers):
-    return _estimate(cfg, "linear" if cfg.initial.ndim == 1 else "density_linear", workers)
+    return _estimate(cfg, _measure_modes(cfg.initial)[0], workers)
 
 
 def _lindblad_oracle_report(cfg: ExperimentConfig, est) -> CheckReport:
@@ -171,7 +172,7 @@ def _covariance_nodes(grid: TimeGrid, points: int = 5):
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
     # parse_config gates the suites, but a config rebuilt with dataclasses.replace skips it
-    if problems := _suite_problems(cfg.checks.suites, cfg.mode, cfg.model):
+    if problems := _suite_problems(cfg.checks.suites, cfg.model):
         raise ValidationError(f"checks.suites: {problems[0]}")
     reports = []
     reference = functools.cache(functools.partial(_reference_estimate, cfg, workers))

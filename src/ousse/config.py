@@ -15,7 +15,7 @@ numbers with Python's shortest round-trip repr, so parse -> serialize
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,20 +28,9 @@ from .noise import TimeGrid, _check_gamma
 
 __all__ = ["ExperimentConfig", "CheckConfig", "parse_config", "KNOWN_SUITES"]
 
-_VECTOR = "a state vector initial"
-_REFERENCE = "a reference-measure ensemble (a state vector initial or the random_hamiltonian kind)"
-_CONSTANT = "an x-independent generator (for the random_hamiltonian kind, gamma = 0)"
-
-# what each suite needs from the run, in the default battery's order
-_SUITE_NEEDS = {
-    "consistency": (),
-    "martingale": (_REFERENCE,),
-    "covariance": (),
-    "mean_equation": (_REFERENCE,),
-    "girsanov": (_VECTOR,),
-    "lindblad_oracle": (_REFERENCE, _CONSTANT),
-}
-KNOWN_SUITES = tuple(_SUITE_NEEDS)
+# every suite, in the default battery's order
+KNOWN_SUITES = ("consistency", "martingale", "covariance", "mean_equation", "girsanov",
+                "lindblad_oracle")
 
 _MAX_LEVEL = 4
 
@@ -80,18 +69,16 @@ def _grid_nodes(ctx, times, path, grid):
     return nodes
 
 
-def _suite_problems(suites, mode, model):
-    """Why each of ``suites`` is unknown, or cannot run on ``model`` (if any) in ``mode``."""
-    if model is not None:
-        vector = mode not in DENSITY_MODES
-        met = {_VECTOR: vector, _REFERENCE: vector or model.kind == "random_hamiltonian",
-               _CONSTANT: model.h_poly.is_constant and model.b_poly.is_constant}
+def _suite_problems(suites, model):
+    """Why each of ``suites`` is unknown, or cannot run on ``model`` (if any)."""
+    constant = model is None or (model.h_poly.is_constant and model.b_poly.is_constant)
     problems = []
     for s in suites:
         if s not in KNOWN_SUITES:
             problems.append(f"unknown suite {s!r}; known: {KNOWN_SUITES}")
-        elif model is not None and (unmet := [n for n in _SUITE_NEEDS[s] if not met[n]]):
-            problems.append(f"{s} needs {' and '.join(unmet)}")
+        elif s == "lindblad_oracle" and not constant:
+            problems.append("lindblad_oracle needs an x-independent generator "
+                            "(for the random_hamiltonian kind, gamma = 0)")
     return problems
 
 
@@ -207,15 +194,35 @@ class ExperimentConfig:
     initial: np.ndarray
     checks: CheckConfig
     out_dir: str
-    canonical: dict              # fully-populated document; source of the canonical text
+
+    def _document(self) -> dict:
+        """The fully-populated document of this config; source of the canonical text."""
+        return {
+            "model": _model_doc(self.model),
+            "grid": {"dt": self.grid.dt, "T": self.grid.horizon},
+            "run": {
+                "mode": self.mode,
+                "n_traj": self.n_traj,
+                "master_seed": self.master_seed,
+                "level": self.level,
+                "initial": (_matrix_doc(self.initial) if self.initial.ndim == 2
+                            else _vector_doc(self.initial)),
+                "observables": {name: _matrix_doc(o) for name, o in self.observables},
+                **({"output_times": [k * self.grid.dt for k in self.output_nodes]}
+                   if self.output_nodes else {}),
+            },
+            "checks": asdict(self.checks),
+            "output": {"directory": self.out_dir},
+        }
 
     def canonical_text(self) -> str:
-        return json.dumps(self.canonical, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self._document(), sort_keys=True, indent=2) + "\n"
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        doc = json.loads(self.canonical_text())
+        """This config with ``master_seed = seed``, through the gates of ``parse_config``."""
+        doc = self._document()
         doc["run"]["master_seed"] = int(seed)
-        return parse_config(json.dumps(doc))
+        return parse_config(doc)
 
 
 def _c2l(z: complex):
@@ -317,7 +324,7 @@ def parse_config(source) -> ExperimentConfig:
     else:
         mode = rblock.get("mode", "linear")
         density = mode in DENSITY_MODES
-        mode = _gate(ctx, "run.mode", _check_mode, mode, kind) or "linear"
+        mode = _gate(ctx, "run.mode", _check_mode, mode) or "linear"
         n_traj = _get_int(ctx, rblock, "n_traj", "run", required=True, minimum=2)
         master_seed = _get_int(ctx, rblock, "master_seed", "run", required=True, minimum=0)
         level = _get_int(ctx, rblock, "level", "run", default=0, minimum=0)
@@ -372,7 +379,7 @@ def parse_config(source) -> ExperimentConfig:
         else:
             if not suites:
                 ctx.err("checks.suites", "expected at least one suite")
-            for problem in _suite_problems(suites, mode, model):
+            for problem in _suite_problems(suites, model):
                 ctx.err("checks.suites", problem)
     c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
     c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
@@ -411,38 +418,15 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(ctx.errors)
 
     if suites is None:
-        suites = [s for s in KNOWN_SUITES if not _suite_problems((s,), mode, model)]
+        suites = [s for s in KNOWN_SUITES if not _suite_problems((s,), model)]
     if not g_times:
         g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
     checks = CheckConfig(tuple(suites), c_disc, c_fd, eps, cov_n, g_times)
 
-    canonical = {
-        "model": _model_doc(model),
-        "grid": {"dt": grid.dt, "T": grid.horizon},
-        "run": {
-            "mode": mode,
-            "n_traj": n_traj,
-            "master_seed": master_seed,
-            "level": level,
-            "initial": (_matrix_doc(initial) if initial.ndim == 2 else _vector_doc(initial)),
-            "observables": {name: _matrix_doc(o) for name, o in observables},
-            **({"output_times": [k * grid.dt for k in output_nodes]} if output_nodes else {}),
-        },
-        "checks": {
-            "suites": list(checks.suites),
-            "c_disc": checks.c_disc,
-            "c_fd": checks.c_fd,
-            "perturb_drift_epsilon": checks.perturb_drift_epsilon,
-            "covariance_n_paths": checks.covariance_n_paths,
-            "girsanov_times": list(checks.girsanov_times),
-        },
-        "output": {"directory": out_dir},
-    }
-
     return ExperimentConfig(
         model=model, grid=grid, mode=mode, n_traj=n_traj, master_seed=master_seed,
         level=level, output_nodes=output_nodes, observables=tuple(observables),
-        initial=initial, checks=checks, out_dir=out_dir, canonical=canonical,
+        initial=initial, checks=checks, out_dir=out_dir,
     )
 
 

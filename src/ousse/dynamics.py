@@ -7,8 +7,8 @@ Modes
 ``nonlinear``       normalized state under the physical measure; the
                     measurement drift m = <B + B^dag> feeds back into
                     both the state update and the OU path
-``density_linear``  density-matrix form of the linear equation
-                    (random_hamiltonian kind only)
+``density_linear``  density-matrix form of the linear equation,
+                    d rho = L(x) rho dt + (B(x) rho + rho B(x)^dag) dW
 ``sme``             nonlinear stochastic master equation with trace
                     renormalization after every step
 
@@ -101,16 +101,16 @@ def _trace(c, d):
     return np.add.reduce(c[:d], axis=0)
 
 
-def _check_mode(mode, kind):
-    """``mode`` if it is known and integrates ``kind`` (None: checks the mode alone)."""
+def _check_mode(mode):
+    """``mode`` if it is one of ``MODES``."""
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "density_linear" and kind not in (None, "random_hamiltonian"):
-        raise ValidationError(
-            f"density_linear integrates the commutator-form equation, which needs the "
-            f"random_hamiltonian kind; got {kind!r}"
-        )
     return mode
+
+
+def _measure_modes(initial):
+    """The (reference-measure, physical-measure) modes that integrate ``initial``."""
+    return ("density_linear", "sme") if np.ndim(initial) == 2 else ("linear", "nonlinear")
 
 
 class _Stepper:
@@ -138,7 +138,7 @@ class _Stepper:
     """
 
     def __init__(self, m: ModelSpec, mode: str):
-        _check_mode(mode, m.kind)
+        _check_mode(mode)
         self.m = m
         self.mode = mode
         self.d = m.dim
@@ -165,7 +165,7 @@ class _Stepper:
             scale = np.sqrt(np.add.reduce((out * np.conj(out)).real, axis=0))
             out *= 1.0 / scale
         else:
-            # density_linear: B = -iK turns L(x) into -i[H(x),.] - [K,[K,.]]/2, the flow into -i[K,.]
+            # the flow is B(x) rho + rho B(x)^dag, the generator L(x) rho
             flow = _poly_apply(self.m._flow, x, state)
             out = state + dt * _poly_apply(self.m._gen, x, state)
             if self.mode == "density_linear":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PHYSICAL_MODES, _diverged, _poly_apply, _Stepper, _trace
+from .dynamics import PHYSICAL_MODES, _diverged, _measure_modes, _poly_apply, _Stepper, _trace
 from .errors import DivergenceError, ValidationError
 from .linalg import _require_hermitian, _unit_state, as_operator, dagger
 from .model import ModelSpec
@@ -390,15 +390,18 @@ def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPo
                         level: int = 0, workers=None) -> CheckReport:
     """Weighted reference-measure vs physical-measure estimates of one mean.
 
-    The two sides use independent substreams of ``seeds`` and are
-    therefore independent estimators of the same physical expectation;
-    they must agree within ``3 sqrt(se_Q^2 + se_P^2) + c_disc dt``.
+    The two sides, ``linear`` and ``nonlinear`` for a state vector or
+    ``density_linear`` and ``sme`` for a density matrix, use independent
+    substreams of ``seeds`` and are therefore independent estimators of
+    the same physical expectation; they must agree within
+    ``3 sqrt(se_Q^2 + se_P^2) + c_disc dt``.
     """
     o = as_operator(observable)
     nodes = [grid.node(t) for t in t_list]
-    est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), "linear",
+    reference, physical = _measure_modes(initial)
+    est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), reference,
                          initial, output_nodes=nodes, level=level, workers=workers)
-    est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), "nonlinear",
+    est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), physical,
                          initial, output_nodes=nodes, level=level, workers=workers)
     series_q = observable_series(est_q, o)
     series_p = observable_series(est_p, o)

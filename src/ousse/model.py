@@ -102,7 +102,7 @@ class ModelSpec:
     ``h_poly`` is the full physical Hamiltonian family (for the
     random_hamiltonian kind it already contains the ``-gamma x K``
     term); ``k`` keeps the bare coupling operator of that kind for the
-    commutator-form density update and the exact commuting solution.
+    memory form of the mean-state equation and the canonical document.
     """
 
     kind: str

@@ -295,6 +295,8 @@ def _ou_steps(dw, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         if m.shape != dw.shape:
             raise ValidationError(f"expected {grid.n_steps} drift values, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("drift values contain non-finite entries")
         drift = (m * grid.dt).tolist()
     decay = 1.0 - gamma * grid.dt
     x = np.empty(grid.n_steps + 1)

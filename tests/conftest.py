@@ -30,3 +30,11 @@ def random_model(rng, d=None, kind=None, gamma=None):
     h = OperatorPolynomial(tuple(random_hermitian(rng, d) for _ in range(deg_h + 1)))
     b = OperatorPolynomial(tuple(0.5 * random_operator(rng, d) for _ in range(deg_b + 1)))
     return make_measurement_model(h, b, gamma)
+
+
+# every mode on a measurement model, and density_linear also on the random_hamiltonian
+# kind; the ids name a mode by itself where it runs on one kind only
+MODES_AND_KINDS = [("linear", "measurement"), ("nonlinear", "measurement"),
+                   ("density_linear", "random_hamiltonian"), ("sme", "measurement"),
+                   ("density_linear", "measurement")]
+MODE_IDS = ["linear", "nonlinear", "density_linear", "sme", "density_linear-measurement"]

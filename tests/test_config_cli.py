@@ -64,6 +64,24 @@ def test_with_seed_changes_only_the_seed():
     assert a == b
 
 
+def test_replaced_fields_reach_the_document_and_the_seed_override(tmp_path, capsys):
+    # the document is derived from the fields, so a replaced field is neither lost nor reverted
+    cfg = dataclasses.replace(parse_config(dephasing_doc()), n_traj=4)
+    assert json.loads(cfg.canonical_text())["run"]["n_traj"] == 4
+    other = cfg.with_seed(3)
+    assert (other.n_traj, other.master_seed) == (4, 3)
+    assert dataclasses.replace(other, master_seed=cfg.master_seed).canonical_text() == \
+        cfg.canonical_text()
+    with pytest.raises(ConfigError) as exc:
+        cfg.with_seed(-1)
+    assert exc.value.errors == ["run.master_seed: must be >= 0, got -1"]
+    cfg_path = write_config(tmp_path, dephasing_doc(n_traj=8, T=0.1))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--seed", "-1", "--out", str(out)]) == 1
+    assert "config error: run.master_seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SUITES_ALL = ("consistency", "martingale", "covariance", "mean_equation", "girsanov",
               "lindblad_oracle")
 HALF = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
@@ -75,11 +93,17 @@ def test_default_batteries_in_table_order():
     readme["run"]["mode"] = "nonlinear"
     assert parse_config(readme).checks.suites == SUITES_ALL[:5]
     assert parse_config(dephasing_doc(gamma=0.0)).checks.suites == SUITES_ALL
-    sme = dephasing_doc(mode="sme", initial=HALF)
-    assert parse_config(sme).checks.suites == SUITES_ALL[:4]
+    # a density initial runs every suite; the oracle still needs an x-independent generator
+    for gamma, suites in ((1.0, SUITES_ALL[:5]), (0.0, SUITES_ALL)):
+        sme = dephasing_doc(gamma=gamma, mode="sme", initial=HALF)
+        assert parse_config(sme).checks.suites == suites
+    for mode in ("density_linear", "sme"):
+        assert parse_config(measurement_doc([SM], mode)).checks.suites == SUITES_ALL
+        assert parse_config(measurement_doc(B_X, mode)).checks.suites == SUITES_ALL[:5]
 
 
 SM = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+B_X = [SM, [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]]    # B(x) = SM + 0.3 x SZ
 
 
 def measurement_doc(b_coefficients, mode, n_traj=64, **run_extra):
@@ -101,9 +125,8 @@ def _combinations():
             if mode in ("density_linear", "sme"):
                 doc["run"]["initial"] = HALF
             yield f"random_hamiltonian-{mode}-gamma{gamma:g}", doc
-    b_x = [SM, [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]]
-    for label, b in (("constant", [SM]), ("x-dependent", b_x)):
-        for mode in ("linear", "nonlinear", "sme"):
+    for label, b in (("constant", [SM]), ("x-dependent", B_X)):
+        for mode in ("linear", "nonlinear", "density_linear", "sme"):
             yield f"measurement-{mode}-{label}", measurement_doc(b, mode)
 
 
@@ -118,15 +141,15 @@ def test_default_battery_runs_for_every_combination(tmp_path, label, doc):
     report = json.loads((out / "report.json").read_text())
     names = [c["name"] for c in report["checks"]]
     assert names == [{"covariance": "ou_covariance"}.get(s, s) for s in cfg.checks.suites]
-    if label.startswith("measurement-sme"):
-        assert cfg.checks.suites == ("consistency", "covariance")
+    # every kind and mode runs every suite; the oracle needs an x-independent generator
+    constant = label.endswith(("constant", "gamma0"))
+    assert cfg.checks.suites == (SUITES_ALL if constant else SUITES_ALL[:5])
 
 
 @pytest.mark.parametrize("doc,suite,need", [
-    (measurement_doc([SM], "sme"), "martingale", "reference-measure"),
-    (measurement_doc([SM], "sme"), "mean_equation", "reference-measure"),
-    (measurement_doc([SM], "sme"), "lindblad_oracle", "reference-measure"),
-    (dephasing_doc(mode="sme", initial=HALF), "girsanov", "state vector initial"),
+    # the one need left, in every mode
+    *((measurement_doc(B_X, mode), "lindblad_oracle", "x-independent generator")
+      for mode in ("linear", "nonlinear", "density_linear", "sme")),
     (dephasing_doc(), "lindblad_oracle", "x-independent generator"),
 ])
 def test_unrunnable_suite_is_a_config_error(tmp_path, capsys, doc, suite, need):
@@ -152,11 +175,9 @@ def test_empty_suite_list_is_a_config_error():
 
 
 def test_mode_rule_at_parse_time():
-    with pytest.raises(ConfigError) as exc:
-        parse_config(measurement_doc([SM], "density_linear"))
-    assert len(exc.value.errors) == 1
-    assert exc.value.errors[0].startswith("run.mode: density_linear integrates")
-    assert "random_hamiltonian kind; got 'measurement'" in exc.value.errors[0]
+    # every mode runs on every kind: density_linear integrates any B(x)
+    cfg = parse_config(measurement_doc(B_X, "density_linear"))
+    assert (cfg.model.kind, cfg.mode, cfg.initial.shape) == ("measurement", "density_linear", (2, 2))
     # an unknown mode is still reported when the model block fails too
     doc = dephasing_doc(mode="sideways")
     doc["model"]["kind"] = "other"
@@ -164,6 +185,83 @@ def test_mode_rule_at_parse_time():
         parse_config(doc)
     assert any(e.startswith("model.kind") for e in exc.value.errors)
     assert "run.mode: unknown mode 'sideways'" in "\n".join(exc.value.errors)
+
+
+_DROP = object()
+
+
+def _edited(path, value, doc=None):
+    """``doc`` (default: a dephasing config) with the field at dotted ``path`` set, or dropped."""
+    doc = dephasing_doc() if doc is None else doc
+    *parents, key = path.split(".")
+    block = doc
+    for p in parents:
+        block = block.setdefault(p, {})
+    if value is _DROP:
+        del block[key]
+    else:
+        block[key] = value
+    return doc
+
+
+CONFIG_EDITS = [
+    (42, ["$: expected JSON text or an object, got int"]),
+    ("[]", ["$: top level must be an object"]),
+    (_edited("model", _DROP), ["model: missing required block"]),
+    (_edited("model.K", _DROP), ["model.K: missing required operator"]),
+    (_edited("model.K", []), ['model.K: expected an object with a "coefficients" list']),
+    (_edited("model.K.coefficients", []),
+     ["model.K.coefficients: expected a non-empty list of matrices"]),
+    (_edited("model.H.coefficients", [Z2] * 4),
+     ["model.H.coefficients: polynomial degree is capped at 2, got degree 3"]),
+    (_edited("model.H.coefficients", [Z2, Z2]),
+     ["model.H.coefficients: this kind takes a single constant H"]),
+    (_edited("model.K.coefficients", [SZ, SZ]),
+     ["model.K.coefficients: this kind takes a single constant K"]),
+    (_edited("grid.dt", "x"), ["grid.dt: expected a finite number, got 'x'"]),
+    (_edited("run.n_traj", 2.5), ["run.n_traj: expected an integer, got 2.5"]),
+    (_edited("run.level", 5), ["run.level: refinement level is capped at 4, got 5"]),
+    (_edited("run.output_times", []), ["run.output_times: expected a non-empty list of times"]),
+    (_edited("run.output_times", [0.0, "a"]),
+     ["run.output_times[1]: expected a finite number, got 'a'"]),
+    (_edited("run.initial", []), ["run.initial: expected a non-empty list of [re, im] pairs"]),
+    (_edited("run.observables", []),
+     ["run.observables: expected an object mapping names to matrices"]),
+    (_edited("run.observables", {"1x": SX}),
+     ["run.observables.1x: name must be a valid identifier (it becomes a CSV column)"]),
+    (_edited("run.observables", {"sx": "x"}),
+     ["run.observables.sx: expected a non-empty list of rows"]),
+    (_edited("run.observables", {"sx": SX[:1]}),
+     ["run.observables.sx: expected a 2x2 matrix, got 1 rows"]),
+    (_edited("run.observables", {"sx": [SX[0], SX[1][:1]]}),
+     ["run.observables.sx[1]: expected a row of 2 entries"]),
+    (_edited("run.observables", {"sx": [SX[0], [[1.0, 0.0], "x"]]}),
+     ["run.observables.sx[1][1]: expected a [re, im] pair of finite numbers, got 'x'"]),
+    (_edited("checks", []), ["checks: expected an object"]),
+    (_edited("checks.suites", "all"), ["checks.suites: expected a list of suite names"]),
+    (_edited("checks.c_disc", 0), ["checks.c_disc: must be > 0, got 0.0"]),
+    (_edited("checks.c_fd", -1), ["checks.c_fd: must be > 0, got -1.0"]),
+    (_edited("checks.perturb_drift_epsilon", -1e-3),
+     ["checks.perturb_drift_epsilon: must be >= 0, got -0.001"]),
+    (_edited("checks.girsanov_times", "x"), ["checks.girsanov_times: expected a list of times"]),
+    (_edited("output", []), ["output: expected an object"]),
+    (_edited("output.directory", ""), ["output.directory: expected a non-empty string, got ''"]),
+]
+
+
+@pytest.mark.parametrize("source, errors", CONFIG_EDITS, ids=[e[0] for _, e in CONFIG_EDITS])
+def test_config_edits_map_to_their_errors(source, errors):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(source)
+    assert exc.value.errors == errors
+
+
+def test_default_initial_is_the_first_basis_state():
+    # a state vector in the vector modes, its projector in the density modes
+    for mode, want in (("nonlinear", [1.0, 0.0]), ("sme", [[1.0, 0.0], [0.0, 0.0]])):
+        cfg = parse_config(_edited("run.initial", _DROP, measurement_doc(B_X, mode)))
+        assert np.array_equal(cfg.initial, np.array(want, dtype=complex))
+        assert parse_config(cfg.canonical_text()).canonical_text() == cfg.canonical_text()
 
 
 def test_density_initial_must_be_a_density_matrix():

@@ -32,7 +32,7 @@ from ousse import (
     step_sme,
 )
 
-from conftest import random_hermitian, random_model, random_unit_state
+from conftest import MODE_IDS, MODES_AND_KINDS, random_hermitian, random_model, random_unit_state
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -191,10 +191,9 @@ def test_density_steps_match_lindblad_apply_step():
             dw, dt = float(rng.normal(0.0, 0.1)), 1e-2
             want, scale = _density_reference("sme", m, rho, x, dw, dt)
             assert np.max(np.abs(step_sme(rho, x, dw, dt, m) - want)) <= 1e-12 * scale
-            if m.kind == "random_hamiltonian":
-                want, scale = _density_reference("density_linear", m, rho, x, dw, dt)
-                got = step_density_linear(rho, x, dw, dt, m)
-                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            want, scale = _density_reference("density_linear", m, rho, x, dw, dt)
+            got = step_density_linear(rho, x, dw, dt, m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
     assert degrees >= {0, 1, 2}
 
 
@@ -209,9 +208,11 @@ def test_step_density_linear():
     out = step_density_linear(rho, 0.0, 0.0, dt, m)
     assert out[0, 1] == pytest.approx(0.5 * (1.0 - 2.0 * dt), abs=1e-15)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
+    # a measurement model steps the same linear equation, with flow B rho + rho B^dag
     mm = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
-    with pytest.raises(ValidationError, match="random_hamiltonian"):
-        step_density_linear(rho, 0.0, 0.0, dt, mm)
+    flow = sigma_minus @ rho + rho @ sigma_minus.conj().T
+    want = rho + dt * lindblad_apply(mm, 0.0, rho) + 0.3 * flow
+    assert np.allclose(step_density_linear(rho, 0.0, 0.3, dt, mm), want, rtol=0.0, atol=1e-15)
 
 
 def test_step_density_linear_tracks_outer_of_state_step():
@@ -478,6 +479,9 @@ def test_increments_pass_one_gate(dw, problem):
                  lambda: NoisePath(grid, dw, np.zeros(11))):
         with pytest.raises(ValidationError, match=problem):
             call()
+    # the drift record of a physical-measure path passes the same rules
+    with pytest.raises(ValidationError, match=problem.replace("increments", "drift values")):
+        ou_path_physical(np.zeros(10), dw, 1.0, grid)
 
 
 def test_propagate_divergence_reports_step():
@@ -493,14 +497,14 @@ def _divergence(mode, initial, dw, m, grid):
     return str(info.value), info.value.step
 
 
-@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
-def test_propagate_reports_first_non_finite_step(mode):
+@pytest.mark.parametrize("mode, kind", MODES_AND_KINDS, ids=MODE_IDS)
+def test_propagate_reports_first_non_finite_step(mode, kind):
     # without noise E0 and |E0><E0| keep B psi (or the flow) at about 10 off the diagonal,
     # so the one increment of 1e308 overflows it
     grid = TimeGrid(1e-4, 40)
     dw = np.zeros(40)
     dw[7] = 1e308
-    if mode == "density_linear":
+    if kind == "random_hamiltonian":
         m = make_random_hamiltonian(np.zeros((2, 2)), 10.0 * sigma_x, 0.7)
     else:
         m = make_measurement_model(np.zeros((2, 2)), 10.0 * sigma_x, 0.7)
@@ -573,15 +577,17 @@ def test_overflowed_norm_is_a_divergence_at_its_step():
         step_nonlinear(E0, 0.0, 0.0, 1e-3, m)
 
 
-@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
-def test_propagate_path_matches_reference_steps(mode):
+# kind None draws either kind for each model
+@pytest.mark.parametrize("mode, kind, seed", [
+    ("linear", None, 71), ("nonlinear", None, 72), ("density_linear", "random_hamiltonian", 73),
+    ("sme", None, 74), ("density_linear", "measurement", 76),
+], ids=MODE_IDS)
+def test_propagate_path_matches_reference_steps(mode, kind, seed):
     # every step of a whole path against the operator-written step from the path's own state
-    rng = np.random.default_rng({"linear": 71, "nonlinear": 72,
-                                 "density_linear": 73, "sme": 74}[mode])
+    rng = np.random.default_rng(seed)
     density = mode in ("density_linear", "sme")
     b_degrees = set()
     for _ in range(12):
-        kind = "random_hamiltonian" if mode == "density_linear" else None
         m = random_model(rng, kind=kind)
         b_degrees.add(m.b_poly.degree)
         grid = TimeGrid(float(rng.uniform(2e-3, 2e-2)), 40)
@@ -609,7 +615,7 @@ def test_propagate_path_matches_reference_steps(mode):
             assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, m.gamma, grid))
         else:
             assert np.array_equal(traj.X, ou_path(dw, m.gamma, grid))
-    if mode != "density_linear":
+    if kind != "random_hamiltonian":
         assert b_degrees >= {0, 1, 2}
 
 

@@ -33,7 +33,8 @@ from ousse import (
 from ousse import ensemble, parallel
 from ousse.model import OperatorPolynomial
 
-from conftest import random_hermitian, random_operator, random_unit_state
+from conftest import (MODE_IDS, MODES_AND_KINDS, random_hermitian, random_operator,
+                      random_unit_state)
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -126,18 +127,15 @@ def assert_same_estimate(a, b):
             assert x == y, f.name
 
 
-@pytest.mark.parametrize("mode, dim, chunk_size", [
-    ("linear", 2, 64), ("nonlinear", 2, 64), ("density_linear", 2, 64), ("sme", 2, 64),
+@pytest.mark.parametrize("mode, kind, dim, chunk_size", [
+    *((mode, kind, 2, 64) for mode, kind in MODES_AND_KINDS),
     # (2048, 16) @ (16, 16) products are large enough for a threaded BLAS,
     # which workers run on one thread
-    ("sme", 4, 2048),
-])
-def test_workers_do_not_change_a_bit(mode, dim, chunk_size, two_cpus):
+    ("sme", "measurement", 4, 2048),
+], ids=[*(f"{i}-2-64" for i in MODE_IDS), "sme-4-2048"])
+def test_workers_do_not_change_a_bit(mode, kind, dim, chunk_size, two_cpus):
     rng = np.random.default_rng(41)
-    if mode == "density_linear":
-        m = make_random_hamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.6)
-    else:
-        m = _degree2_measurement_model(rng, dim)
+    m = _mode_model(rng, kind, dim)
     psi0 = random_unit_state(rng, dim)
     initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
     grid = TimeGrid(1e-2, 30)
@@ -146,6 +144,23 @@ def test_workers_do_not_change_a_bit(mode, dim, chunk_size, two_cpus):
                          workers=w) for w in (1, 2)]
     assert runs[0].n_used == n_traj
     assert_same_estimate(*runs)
+    assert multiprocessing.active_children() == []
+
+
+def test_budget_halves_the_rows_as_an_explicit_chunk_size_does(monkeypatch, two_cpus):
+    # 256 rows of the 60 refined steps exceed the budget, and 128 rows fit it
+    m = _degree2_measurement_model(np.random.default_rng(45), 2)
+    grid = TimeGrid(1e-2, 30)
+
+    def run(chunk_size, workers):
+        return run_ensemble(m, grid, 300, SeedPolicy(46), "nonlinear", E0, chunk_size=chunk_size,
+                            level=1, workers=workers)
+
+    explicit = [run(128, w) for w in (1, 2)]
+    monkeypatch.setattr(ensemble, "_CHUNK_BUDGET", 128 * 60)
+    assert ensemble._chunk_rows(256, 60) == 128
+    for w, want in zip((1, 2), explicit):
+        assert_same_estimate(run(256, w), want)
     assert multiprocessing.active_children() == []
 
 
@@ -281,14 +296,18 @@ def _degree2_measurement_model(rng, d):
     return make_measurement_model(h, b, 0.8)
 
 
-@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
-def test_every_mode_matches_scalar_propagation(mode):
+def _mode_model(rng, kind, d):
+    """A random_hamiltonian model, or a degree-2 measurement model, of dimension ``d``."""
+    if kind == "random_hamiltonian":
+        return make_random_hamiltonian(random_hermitian(rng, d), random_hermitian(rng, d), 0.6)
+    return _degree2_measurement_model(rng, d)
+
+
+@pytest.mark.parametrize("mode, kind", MODES_AND_KINDS, ids=MODE_IDS)
+def test_every_mode_matches_scalar_propagation(mode, kind):
     # degree-2 H(x) and B(x) reach the x^4 terms of the generator
     rng = np.random.default_rng(31)
-    if mode == "density_linear":
-        m = make_random_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), 0.6)
-    else:
-        m = _degree2_measurement_model(rng, 3)
+    m = _mode_model(rng, kind, 3)
     psi0 = random_unit_state(rng, 3)
     initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
     _assert_matches_scalar(mode, m, initial, 32)
@@ -299,12 +318,15 @@ def _ladder(d=4):
     return a, a.conj().T @ a
 
 
-@pytest.mark.parametrize("mode", ["density_linear", "sme"])
-def test_density_outputs_are_exactly_hermitian(mode):
-    # the driven, monitored 4-level ladder (random_hamiltonian for density_linear)
+@pytest.mark.parametrize("mode, kind", [
+    ("density_linear", "random_hamiltonian"), ("sme", "measurement"),
+    ("density_linear", "measurement"),
+], ids=["density_linear", "sme", "density_linear-measurement"])
+def test_density_outputs_are_exactly_hermitian(mode, kind):
+    # the driven, monitored 4-level ladder, or a random_hamiltonian model on its levels
     a, n = _ladder()
     h = n + (a + a.conj().T)
-    m = (make_random_hamiltonian(n, a + a.conj().T, 1.0) if mode == "density_linear"
+    m = (make_random_hamiltonian(n, a + a.conj().T, 1.0) if kind == "random_hamiltonian"
          else make_measurement_model(h, a, 1.0))
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[-1, -1] = 1.0
@@ -318,18 +340,35 @@ def test_density_outputs_are_exactly_hermitian(mode):
         assert np.array_equal(se, se.transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
-def test_every_mode_matches_scalar_sample_statistics(mode):
+def test_density_linear_mean_is_the_euler_map_of_the_generator():
+    # with constant H and B the noise term of a step has mean zero given rho_k, so
+    # E_Q[rho_k] = (I + dt L)^k rho0 exactly; the monitored ladder's estimate lies
+    # within 3 stderr of it at every entry
+    a, n = _ladder()
+    m = make_measurement_model(n + (a + a.conj().T), a, 1.0)
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[-1, -1] = 1.0
+    grid = TimeGrid(0.0025, 400)
+    nodes = [0, 100, 200, 300, 400]
+    est = run_ensemble(m, grid, 4096, SeedPolicy(17), "density_linear", rho0, output_nodes=nodes)
+    assert np.array_equal(est.eta[0], rho0)
+    rho = rho0
+    for k in range(1, grid.n_steps + 1):
+        rho = rho + grid.dt * lindblad_apply(m, 0.0, rho)
+        if k in nodes:
+            j = nodes.index(k)
+            assert np.all(np.abs(est.eta[j] - rho) <= 3.0 * est.eta_stderr[j])
+
+
+@pytest.mark.parametrize("mode, kind", MODES_AND_KINDS, ids=MODE_IDS)
+def test_every_mode_matches_scalar_sample_statistics(mode, kind):
     # stderrs and second moments against sample statistics of one-path runs; a
     # stderr is compared as its square, the variance of the mean, which the
     # engine forms as (sum |v|^2 - n |mean|^2) / (n (n - 1)), good to rounding
     # of sum |v|^2 only; its square root would turn that into noise of order
     # 1e-8 wherever every row agrees (node 0, or the weights of a normalized run)
     rng = np.random.default_rng(47)
-    if mode == "density_linear":
-        m = make_random_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), 0.6)
-    else:
-        m = _degree2_measurement_model(rng, 3)
+    m = _mode_model(rng, kind, 3)
     psi0 = random_unit_state(rng, 3)
     initial = outer(psi0) if mode in ("density_linear", "sme") else psi0
     grid = TimeGrid(1e-2, 60)
@@ -420,9 +459,11 @@ def test_validation():
         run_ensemble(m, grid, 4, SeedPolicy(0), "linear", 2.0 * PLUS)
     with pytest.raises(ValidationError, match="trace"):
         run_ensemble(m, grid, 4, SeedPolicy(0), "density_linear", 2.0 * outer(PLUS))
-    with pytest.raises(ValidationError, match="random_hamiltonian"):
-        run_ensemble(make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0),
-                     grid, 4, SeedPolicy(0), "density_linear", outer(PLUS))
+    # density_linear runs on a measurement model too; its initial passes the same gates
+    mm = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
+    assert run_ensemble(mm, grid, 4, SeedPolicy(0), "density_linear", outer(PLUS)).n_used == 4
+    with pytest.raises(ValidationError, match="trace"):
+        run_ensemble(mm, grid, 4, SeedPolicy(0), "density_linear", 2.0 * outer(PLUS))
     with pytest.raises(ValidationError, match="nodes"):
         run_ensemble(m, grid, 4, SeedPolicy(0), "linear", PLUS, output_nodes=[0, 11])
 
@@ -507,21 +548,24 @@ def test_martingale_passes_on_linear_run():
 
 
 def test_girsanov_identity_observable():
+    # a density initial runs density_linear against sme, a state vector linear against nonlinear
     grid = TimeGrid(1e-3, 400)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
-    report = girsanov_crosscheck(m, grid, 800, SeedPolicy(19), np.eye(2),
-                                 [0.2, 0.4], E0)
-    assert report.passed
-    for e in report.entries:
-        assert e.statistic <= e.threshold
+    for initial in (E0, outer(E0)):
+        report = girsanov_crosscheck(m, grid, 800, SeedPolicy(19), np.eye(2),
+                                     [0.2, 0.4], initial)
+        assert report.passed
+        for e in report.entries:
+            assert e.statistic <= e.threshold
 
 
 def test_girsanov_degenerate_for_hamiltonian_noise():
     # B = -iK leaves the measures equal; both sides see weight one
     grid = TimeGrid(1e-3, 200)
-    report = girsanov_crosscheck(dephasing_model(), grid, 100, SeedPolicy(20),
-                                 sigma_x, [0.1, 0.2], PLUS)
-    assert report.passed
+    for initial in (PLUS, outer(PLUS)):
+        report = girsanov_crosscheck(dephasing_model(), grid, 100, SeedPolicy(20),
+                                     sigma_x, [0.1, 0.2], initial)
+        assert report.passed
 
 
 def test_mean_equation_zero_model():
