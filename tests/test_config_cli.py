@@ -144,6 +144,15 @@ def test_default_battery_runs_for_every_combination(tmp_path, label, doc):
     # every kind and mode runs every suite; the oracle needs an x-independent generator
     constant = label.endswith(("constant", "gamma0"))
     assert cfg.checks.suites == (SUITES_ALL if constant else SUITES_ALL[:5])
+    # one entry rule and one report rule; ou_covariance passes by the fraction of its points
+    for check in report["checks"]:
+        for e in check["entries"]:
+            assert e["passed"] == (e["statistic"] <= e["threshold"])
+        if check["name"] == "ou_covariance":
+            d = check["details"]
+            assert check["passed"] == (d["fraction_passed"] >= d["fraction_required"])
+        else:
+            assert check["passed"] == all(e["passed"] for e in check["entries"])
 
 
 @pytest.mark.parametrize("doc,suite,need", [

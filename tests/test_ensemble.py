@@ -601,6 +601,28 @@ def test_mean_equation_needs_interior_nodes():
         mean_equation_residual(m, phys)
 
 
+
+def test_mean_equation_entry_is_its_worst_element():
+    # at a small c_fd some nodes pass and some fail; each entry reports the element
+    # closest to (or past) its threshold and passes only when every element does
+    m = make_measurement_model(2.0 * sigma_z, sigma_minus, 1.0)
+    est = run_ensemble(m, TimeGrid(1e-2, 100), 200, SeedPolicy(24), "linear", PLUS,
+                       output_nodes=list(range(0, 101, 10)))
+    report = mean_equation_residual(m, est, c_fd=1.0)
+    assert {e.passed for e in report.entries} == {True, False}
+    assert report.passed == all(e.passed for e in report.entries)
+    assert len(report.entries) == est.times.size - 2
+    for j, e in enumerate(report.entries, start=1):
+        span = est.times[j + 1] - est.times[j - 1]
+        fd = (est.eta[j + 1] - est.eta[j - 1]) / span
+        fd_sd = np.sqrt(est.eta_stderr[j + 1] ** 2 + est.eta_stderr[j - 1] ** 2) / span
+        resid = np.abs(fd - est.generator_mean[j])
+        thr = 3.0 * (fd_sd + est.generator_mean_stderr[j]) + 1.0 * est.grid.dt
+        w = int(np.argmax(resid - thr))
+        assert (e.label, e.time) == ("generator", est.times[j])
+        assert (e.statistic, e.threshold) == (resid.flat[w], thr.flat[w])
+        assert e.passed == bool(np.all(resid <= thr))
+
 def test_ou_covariance_check_runs():
     grid = TimeGrid(1e-2, 100)
     report = ou_covariance_check(SeedPolicy(24), grid, 1.0, 4000, [25, 50, 75, 100])
