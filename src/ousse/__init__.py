@@ -5,7 +5,8 @@ helpers), ``noise`` (time grids, seeding, Wiener/OU sampling),
 ``model`` (operator polynomials and the consistency condition),
 ``dynamics`` (the one Euler-Maruyama step kernel per mode, batched over
 rows, and the single-trajectory propagator on top of it),
-``ensemble`` (deterministic Monte Carlo averages and checks),
+``ensemble`` (deterministic Monte Carlo averages, and the check
+battery of ``ousse verify``: its suites, pass rule and report rule),
 ``oracle`` (independent closed-form references), ``parallel`` (chunk
 maps over worker processes) and ``cli``/``config`` (the command-line
 surface).

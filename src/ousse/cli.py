@@ -10,6 +10,9 @@ reruns).
 Exit codes: 0 success (verify: all checks passed), 1 validation or
 usage error, 2 runtime abort (divergent ensemble), 3 verification
 failure.
+
+``verify`` runs suites of the battery that :mod:`ousse.ensemble` owns;
+this module runs their shared reference ensemble once and writes files.
 """
 
 import argparse
@@ -24,15 +27,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, _suite_problems, parse_config
+from .config import ExperimentConfig, parse_config
 from .dynamics import _measure_modes
-from .ensemble import (CheckEntry, CheckReport, girsanov_crosscheck, martingale_check,
-                       mean_equation_residual, observable_series, ou_covariance_check,
+from .ensemble import (_SUITES, _covariance_nodes, _suite_problems, observable_series,
                        run_ensemble)
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
-from .model import diffusion_operator, drift_operator, consistency_residual
 from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
-from .oracle import build_liouvillian, propagate_lindblad
 
 __all__ = ["main", "cmd_simulate", "cmd_verify", "cmd_covariance"]
 
@@ -129,79 +129,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _consistency_report(cfg: ExperimentConfig) -> CheckReport:
-    m = cfg.model
-    eps = cfg.checks.perturb_drift_epsilon
-    xs = np.linspace(-5.0, 5.0, 21)
-    entries = []
-    for x in xs:
-        resid = consistency_residual(m, float(x), drift_shift=eps)
-        a = drift_operator(m, float(x)) + (m.gamma * x) * diffusion_operator(m, float(x))
-        thr = 1e-12 * (1.0 + float(np.max(np.abs(a))))
-        entries.append(CheckEntry(f"x={x:g}", 0.0, resid, thr, resid <= thr))
-    passed = all(e.passed for e in entries)
-    return CheckReport("consistency", passed, tuple(entries),
-                       {"perturb_drift_epsilon": eps, "x_range": [-5.0, 5.0], "points": 21})
-
-
-def _reference_estimate(cfg: ExperimentConfig, workers):
-    return _estimate(cfg, _measure_modes(cfg.initial)[0], workers)
-
-
-def _lindblad_oracle_report(cfg: ExperimentConfig, est) -> CheckReport:
-    m = cfg.model
-    liou = build_liouvillian(m.h_poly.coefficients[0], m.b_poly.coefficients[0])
-    rho0 = cfg.initial if cfg.initial.ndim == 2 else np.outer(cfg.initial, cfg.initial.conj())
-    dt = est.grid.dt
-    entries = []
-    for j, t in enumerate(est.times):
-        ref = propagate_lindblad(liou, rho0, float(t))
-        dev = float(np.max(np.abs(est.eta[j] - ref)))
-        thr = 3.0 * float(est.eta_stderr[j].max()) + cfg.checks.c_disc * dt
-        entries.append(CheckEntry("eta_vs_exponential", float(t), dev, thr, dev <= thr))
-    passed = all(e.passed for e in entries)
-    return CheckReport("lindblad_oracle", passed, tuple(entries),
-                       {"dt": dt, "c_disc": cfg.checks.c_disc})
-
-
-def _covariance_nodes(grid: TimeGrid, points: int = 5):
-    ks = sorted({max(1, round(grid.n_steps * i / points)) for i in range(1, points + 1)})
-    return ks
-
-
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
     # parse_config gates the suites, but a config rebuilt with dataclasses.replace skips it
     if problems := _suite_problems(cfg.checks.suites, cfg.model):
         raise ValidationError(f"checks.suites: {problems[0]}")
-    reports = []
-    reference = functools.cache(functools.partial(_reference_estimate, cfg, workers))
-    for suite in cfg.checks.suites:
-        if suite == "consistency":
-            reports.append(_consistency_report(cfg))
-        elif suite == "martingale":
-            reports.append(martingale_check(reference(), c_disc=cfg.checks.c_disc))
-        elif suite == "mean_equation":
-            reports.append(mean_equation_residual(cfg.model, reference(),
-                                                  c_fd=cfg.checks.c_fd))
-        elif suite == "covariance":
-            reports.append(ou_covariance_check(
-                SeedPolicy(cfg.master_seed).substream("verify-ou"), cfg.grid,
-                cfg.model.gamma, cfg.checks.covariance_n_paths,
-                _covariance_nodes(cfg.grid), workers=workers))
-        elif suite == "girsanov":
-            if cfg.observables:
-                obs = cfg.observables[0][1]
-            else:
-                obs = np.zeros((cfg.model.dim, cfg.model.dim), dtype=complex)
-                obs[0, 0] = 1.0
-            reports.append(girsanov_crosscheck(
-                cfg.model, cfg.grid, cfg.n_traj,
-                SeedPolicy(cfg.master_seed).substream("verify-girsanov"),
-                obs, list(cfg.checks.girsanov_times), cfg.initial,
-                c_disc=cfg.checks.c_disc, level=cfg.level, workers=workers))
-        elif suite == "lindblad_oracle":
-            reports.append(_lindblad_oracle_report(cfg, reference()))
+    reference = functools.cache(
+        functools.partial(_estimate, cfg, _measure_modes(cfg.initial)[0], workers))
+    reports = [_SUITES[suite](cfg, reference, workers) for suite in cfg.checks.suites]
 
     passed = all(r.passed for r in reports)
     doc = {

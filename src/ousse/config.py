@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import DENSITY_MODES, _check_mode
+from .ensemble import _SUITES, _suite_problems
 from .errors import ConfigError, ValidationError
 from .linalg import _require_hermitian, _unit_state
 from .model import (MAX_DEGREE, ModelSpec, OperatorPolynomial, make_measurement_model,
@@ -28,9 +29,8 @@ from .noise import TimeGrid, _check_gamma
 
 __all__ = ["ExperimentConfig", "CheckConfig", "parse_config", "KNOWN_SUITES"]
 
-# every suite, in the default battery's order
-KNOWN_SUITES = ("consistency", "martingale", "covariance", "mean_equation", "girsanov",
-                "lindblad_oracle")
+# every suite, in the default battery's order (the battery's table is ensemble._SUITES)
+KNOWN_SUITES = tuple(_SUITES)
 
 _MAX_LEVEL = 4
 
@@ -69,19 +69,6 @@ def _grid_nodes(ctx, times, path, grid):
     return nodes
 
 
-def _suite_problems(suites, model):
-    """Why each of ``suites`` is unknown, or cannot run on ``model`` (if any)."""
-    constant = model is None or (model.h_poly.is_constant and model.b_poly.is_constant)
-    problems = []
-    for s in suites:
-        if s not in KNOWN_SUITES:
-            problems.append(f"unknown suite {s!r}; known: {KNOWN_SUITES}")
-        elif s == "lindblad_oracle" and not constant:
-            problems.append("lindblad_oracle needs an x-independent generator "
-                            "(for the random_hamiltonian kind, gamma = 0)")
-    return problems
-
-
 def _get_num(ctx, block, key, path, default=None, required=False):
     if key not in block:
         if required:
@@ -110,10 +97,14 @@ def _get_int(ctx, block, key, path, default=None, required=False, minimum=None):
 
 
 def _parse_complex_entry(ctx, v, path):
+    """``v`` as a complex number, or None with its error recorded.
+
+    A None drops its vector or matrix, so no gate reports a derived error on a stand-in.
+    """
     if (not isinstance(v, list) or len(v) != 2
             or not all(_is_num(u) and math.isfinite(u) for u in v)):
         ctx.err(path, f"expected a [re, im] pair of finite numbers, got {v!r}")
-        return 0.0j
+        return None
     return complex(v[0], v[1])
 
 
@@ -125,22 +116,21 @@ def _parse_matrix(ctx, node, path, dim=None):
     if dim is not None and d != dim:
         ctx.err(path, f"expected a {dim}x{dim} matrix, got {d} rows")
         return None
-    out = np.zeros((d, d), dtype=complex)
+    entries = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
             ctx.err(f"{path}[{i}]", f"expected a row of {d} entries")
             return None
-        for j, v in enumerate(row):
-            out[i, j] = _parse_complex_entry(ctx, v, f"{path}[{i}][{j}]")
-    return out
+        entries += [_parse_complex_entry(ctx, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+    return None if None in entries else np.array(entries).reshape(d, d)
 
 
 def _parse_vector(ctx, node, path):
     if not isinstance(node, list) or not node:
         ctx.err(path, "expected a non-empty list of [re, im] pairs")
         return None
-    return np.array([_parse_complex_entry(ctx, v, f"{path}[{i}]")
-                     for i, v in enumerate(node)])
+    entries = [_parse_complex_entry(ctx, v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return None if None in entries else np.array(entries)
 
 
 def _parse_poly(ctx, block, key, path, dim, hermitian):
@@ -357,7 +347,7 @@ def parse_config(source) -> ExperimentConfig:
             initial = parse(ctx, rblock["initial"], "run.initial")
             if initial is not None:
                 initial = _gate(ctx, "run.initial", _unit_state, initial, density, dim,
-                                "initial", True)
+                                "density matrix" if density else "initial", True)
         if initial is None and dim is not None and not ctx.errors:
             initial = np.zeros(dim, dtype=complex)
             initial[0] = 1.0

@@ -76,7 +76,7 @@ def _fit_state(state, density: bool, dim: int, what: str):
     state = as_operator(state) if density else as_state(state)
     if state.shape[0] != dim:
         raise ValidationError(f"{what} dimension {state.shape[0]} != model dimension {dim}")
-    return _require_hermitian(state, "density matrix") if density else state
+    return _require_hermitian(state, what) if density else state
 
 
 def _unit_state(state, density: bool, dim: int, what: str = "initial", cone: bool = False):

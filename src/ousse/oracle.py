@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _require_hermitian, as_operator, dagger, matrix_exp
+from .linalg import _fit_state, _require_hermitian, as_operator, dagger, matrix_exp
 from .noise import _check_gamma
 
 __all__ = [
@@ -194,9 +194,7 @@ def propagate_lindblad(liou: Liouvillian, rho0, t: float) -> np.ndarray:
     """``unvec(exp(t M) vec(rho0))``; trace-preserving by construction."""
     if t < 0.0:
         raise ValidationError(f"time must be >= 0, got {t!r}")
-    rho0 = as_operator(rho0)
-    if rho0.shape[0] != liou.dim:
-        raise ValidationError(f"state dimension {rho0.shape[0]} != generator dimension {liou.dim}")
+    rho0 = _fit_state(rho0, True, liou.dim, "state")
     return unvec(matrix_exp(t * liou.matrix) @ vec(rho0), liou.dim)
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ousse import ConfigError, ValidationError, dephasing_coherence, parse_config
-from ousse import cli, parallel
+from ousse import cli, ensemble, parallel
+from ousse.config import KNOWN_SUITES
 from ousse.cli import cmd_verify, main
 
 I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -88,6 +89,8 @@ HALF = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
 
 
 def test_default_batteries_in_table_order():
+    # the battery's table names every suite, in the default order
+    assert KNOWN_SUITES == tuple(ensemble._SUITES) == SUITES_ALL
     # the README session: a vector mode with an x-dependent generator
     readme = dephasing_doc(n_traj=3000, dt=5e-3, T=1.0, observables={"sx": SX})
     readme["run"]["mode"] = "nonlinear"
@@ -246,6 +249,13 @@ CONFIG_EDITS = [
      ["run.observables.sx[1]: expected a row of 2 entries"]),
     (_edited("run.observables", {"sx": [SX[0], [[1.0, 0.0], "x"]]}),
      ["run.observables.sx[1][1]: expected a [re, im] pair of finite numbers, got 'x'"]),
+    # a vector or matrix with a bad entry is dropped, so no gate reports a derived error
+    (_edited("run.initial", [[1.0], [0.0, 0.0]]),
+     ["run.initial[0]: expected a [re, im] pair of finite numbers, got [1.0]"]),
+    (_edited("run.observables", {"sx": [SX[0], ["x", [0.0, 0.0]]]}),
+     ["run.observables.sx[1][0]: expected a [re, im] pair of finite numbers, got 'x'"]),
+    (_edited("model.K.coefficients", [[SX[0], ["x", [0.0, 0.0]]]]),
+     ["model.K.coefficients[0][1][0]: expected a [re, im] pair of finite numbers, got 'x'"]),
     (_edited("checks", []), ["checks: expected an object"]),
     (_edited("checks.suites", "all"), ["checks.suites: expected a list of suite names"]),
     (_edited("checks.c_disc", 0), ["checks.c_disc: must be > 0, got 0.0"]),
