@@ -633,6 +633,19 @@ def test_ou_covariance_check_runs():
     assert not strict.passed  # the rule is a fraction, not a fixed count
 
 
+@pytest.mark.parametrize("nodes, seed", [([50, 100], 65), ([25, 50, 75, 100], 47),
+                                         ([20, 40, 60, 80, 100], 189)],
+                         ids=["3-points", "10-points", "15-points"])
+def test_ou_covariance_passes_when_every_point_does(nodes, seed):
+    # each seed puts exactly one point past 3 stderr, and that fails the suite
+    grid = TimeGrid(1e-2, 100)
+    for s, failed in ((seed, 1), (24, 0)):
+        report = ou_covariance_check(SeedPolicy(s), grid, 1.0, 1000, nodes, workers=1)
+        assert len(report.entries) == len(nodes) * (len(nodes) + 1) // 2
+        assert sum(not e.passed for e in report.entries) == failed
+        assert report.passed == all(e.passed for e in report.entries)
+
+
 def test_ou_covariance_check_needs_a_node():
     with pytest.raises(ValidationError, match="at least one time node"):
         ou_covariance_check(SeedPolicy(24), TimeGrid(1e-2, 100), 1.0, 100, [])
