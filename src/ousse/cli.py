@@ -42,20 +42,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool would match there
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+def _dump_json(doc, path):
+    # json writes np.float64, a float, with float's repr; other numpy scalars and
+    # arrays reach ``default``
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True,
+                  default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item())
+        f.write("\n")
 
 
 def _versions():
@@ -119,9 +112,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
         "timings": {"seconds": elapsed},
         "files": {"series": "series.csv"},
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(_jsonable(summary), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _dump_json(summary, os.path.join(out_dir, "summary.json"))
     print(f"wrote {csv_path} ({est.times.size} rows, {est.n_used} trajectories)")
     return 0
 
@@ -149,9 +140,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as f:
-        json.dump(_jsonable(doc), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _dump_json(doc, path)
     for r in reports:
         worst = max(r.entries, key=lambda e: e.statistic - e.threshold, default=None)
         extra = f" (worst statistic {worst.statistic:.3g} vs {worst.threshold:.3g})" if worst else ""

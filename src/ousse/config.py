@@ -4,9 +4,9 @@ A document has five blocks: ``model`` (operator polynomials as nested
 arrays of [re, im] pairs), ``grid`` (dt and horizon T), ``run`` (mode,
 trajectory count, master seed, output times, observables, initial
 state), ``checks`` (which verification suites and their tolerances)
-and ``output`` (target directory).  Parsing collects every problem it
-can find, not just the first, and reports each with the dotted path of
-the offending field.
+and ``output`` (target directory).  A block or field outside the schema
+is an error.  Parsing collects every problem it can find, not just the
+first, and reports each with the dotted path of the offending field.
 
 The canonical form materializes all defaults, sorts keys, and writes
 numbers with Python's shortest round-trip repr, so parse -> serialize
@@ -15,7 +15,7 @@ numbers with Python's shortest round-trip repr, so parse -> serialize
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -56,17 +56,32 @@ def _gate(ctx, path, build, *args):
         return None
 
 
-def _grid_nodes(ctx, times, path, grid):
-    """Node indices of ``times`` on ``grid``; an entry off the grid is an error at its index."""
-    nodes = []
+def _unknown_fields(ctx, block, path, known):
+    for k in block:
+        if k not in known:
+            ctx.err(f"{path}.{k}", "unknown field")
+
+
+def _get_times(ctx, block, key, path, grid):
+    """The non-empty list of times at ``block[key]``, each a node of ``grid``, or ().
+
+    An entry off the grid is an error at its index.  Without a grid (its
+    error is already recorded) only the entries' types are checked.
+    """
+    if key not in block:
+        return ()
+    at = f"{path}.{key}"
+    times = block[key]
+    if not isinstance(times, list) or not times:
+        ctx.err(at, "expected a non-empty list of times")
+        return ()
+    out = []
     for i, t in enumerate(times):
         if not _is_num(t) or not math.isfinite(t):
-            ctx.err(f"{path}[{i}]", f"expected a finite number, got {t!r}")
-            continue
-        k = _gate(ctx, f"{path}[{i}]", grid.node, t)
-        if k is not None:
-            nodes.append(k)
-    return nodes
+            ctx.err(f"{at}[{i}]", f"expected a finite number, got {t!r}")
+        elif grid is not None and _gate(ctx, f"{at}[{i}]", grid.node, t) is not None:
+            out.append(float(t))
+    return tuple(out)
 
 
 def _get_num(ctx, block, key, path, default=None, required=False):
@@ -164,9 +179,19 @@ class CheckConfig:
     suites: tuple
     c_disc: float = 5.0
     c_fd: float = 5.0
-    perturb_drift_epsilon: float = 0.0
     covariance_n_paths: int = 10000
     girsanov_times: tuple = ()
+
+
+# the fields each block may hold; a model also holds the two operators of its kind
+_FIELDS = {
+    "model": ("kind", "dim", "gamma"),
+    "grid": ("dt", "T"),
+    "run": ("mode", "n_traj", "master_seed", "level", "output_times", "observables", "initial"),
+    "checks": tuple(f.name for f in fields(CheckConfig)),
+    "output": ("directory",),
+}
+_OPERATORS = {"random_hamiltonian": ("H", "K"), "measurement": ("H", "B")}
 
 
 @dataclass(frozen=True)
@@ -246,9 +271,8 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(["$: top level must be an object"])
 
     ctx = _Ctx()
-    known_blocks = {"model", "grid", "run", "checks", "output"}
     for k in doc:
-        if k not in known_blocks:
+        if k not in _FIELDS:
             ctx.err(k, "unknown block")
 
     # -- model
@@ -260,9 +284,11 @@ def parse_config(source) -> ExperimentConfig:
         ctx.err("model", "missing required block")
     else:
         kind = mblock.get("kind")
-        if kind not in ("random_hamiltonian", "measurement"):
+        if kind not in _OPERATORS:
             ctx.err("model.kind", f'expected "random_hamiltonian" or "measurement", got {kind!r}')
             kind = None
+        else:
+            _unknown_fields(ctx, mblock, "model", _FIELDS["model"] + _OPERATORS[kind])
         gamma = _get_num(ctx, mblock, "gamma", "model", required=True)
         if gamma is not None:
             gamma = _gate(ctx, "model.gamma", _check_gamma, gamma)
@@ -291,6 +317,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(gblock, dict):
         ctx.err("grid", "missing required block")
     else:
+        _unknown_fields(ctx, gblock, "grid", _FIELDS["grid"])
         dt = _get_num(ctx, gblock, "dt", "grid", required=True)
         horizon = _get_num(ctx, gblock, "T", "grid", required=True)
         if dt is not None and horizon is not None:
@@ -312,6 +339,7 @@ def parse_config(source) -> ExperimentConfig:
         ctx.err("run", "missing required block")
         rblock = {}
     else:
+        _unknown_fields(ctx, rblock, "run", _FIELDS["run"])
         mode = rblock.get("mode", "linear")
         density = mode in DENSITY_MODES
         mode = _gate(ctx, "run.mode", _check_mode, mode) or "linear"
@@ -321,12 +349,8 @@ def parse_config(source) -> ExperimentConfig:
         if level is not None and level > _MAX_LEVEL:
             ctx.err("run.level", f"refinement level is capped at {_MAX_LEVEL}, got {level}")
             level = 0
-        if "output_times" in rblock:
-            times = rblock["output_times"]
-            if not isinstance(times, list) or not times:
-                ctx.err("run.output_times", "expected a non-empty list of times")
-            elif grid is not None:
-                output_nodes = tuple(sorted(set(_grid_nodes(ctx, times, "run.output_times", grid))))
+        output_nodes = tuple(sorted({grid.node(t) for t in
+                                     _get_times(ctx, rblock, "output_times", "run", grid)}))
         if "observables" in rblock:
             obs = rblock["observables"]
             if not isinstance(obs, dict):
@@ -360,6 +384,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(cblock, dict):
         ctx.err("checks", "expected an object")
         cblock = {}
+    _unknown_fields(ctx, cblock, "checks", _FIELDS["checks"])
     suites = cblock.get("suites")
     if suites is not None:
         if (not isinstance(suites, list)
@@ -373,25 +398,13 @@ def parse_config(source) -> ExperimentConfig:
                 ctx.err("checks.suites", problem)
     c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
     c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
-    eps = _get_num(ctx, cblock, "perturb_drift_epsilon", "checks",
-                   default=CheckConfig.perturb_drift_epsilon)
     cov_n = _get_int(ctx, cblock, "covariance_n_paths", "checks",
                      default=CheckConfig.covariance_n_paths, minimum=2)
     if c_disc is not None and c_disc <= 0:
         ctx.err("checks.c_disc", f"must be > 0, got {c_disc}")
     if c_fd is not None and c_fd <= 0:
         ctx.err("checks.c_fd", f"must be > 0, got {c_fd}")
-    if eps is not None and eps < 0:
-        ctx.err("checks.perturb_drift_epsilon", f"must be >= 0, got {eps}")
-    g_times = ()
-    if "girsanov_times" in cblock:
-        gt = cblock["girsanov_times"]
-        if not isinstance(gt, list) or not all(_is_num(t) for t in gt):
-            ctx.err("checks.girsanov_times", "expected a list of times")
-        else:
-            g_times = tuple(float(t) for t in gt)
-            if grid is not None:
-                _grid_nodes(ctx, gt, "checks.girsanov_times", grid)
+    g_times = _get_times(ctx, cblock, "girsanov_times", "checks", grid)
 
     # -- output
     oblock = doc.get("output", {})
@@ -399,6 +412,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(oblock, dict):
         ctx.err("output", "expected an object")
     else:
+        _unknown_fields(ctx, oblock, "output", _FIELDS["output"])
         out_dir = oblock.get("directory", ".")
         if not isinstance(out_dir, str) or not out_dir:
             ctx.err("output.directory", f"expected a non-empty string, got {out_dir!r}")
@@ -411,7 +425,7 @@ def parse_config(source) -> ExperimentConfig:
         suites = [s for s in KNOWN_SUITES if not _suite_problems((s,), model)]
     if not g_times:
         g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
-    checks = CheckConfig(tuple(suites), c_disc, c_fd, eps, cov_n, g_times)
+    checks = CheckConfig(tuple(suites), c_disc, c_fd, cov_n, g_times)
 
     return ExperimentConfig(
         model=model, grid=grid, mode=mode, n_traj=n_traj, master_seed=master_seed,

@@ -182,22 +182,16 @@ def diffusion_operator(m: ModelSpec, x: float) -> np.ndarray:
     return m.b_poly(x)
 
 
-def consistency_residual(m: ModelSpec, x: float, drift_shift: complex = 0.0) -> float:
+def consistency_residual(m: ModelSpec, x: float) -> float:
     """Numerical check of the norm-consistency condition at one x.
 
     Reconstructs ``A(x) = D(x) + gamma x B(x)`` from the derived drift
     and returns the max-abs entry of ``A^dag + A - gamma x (B^dag + B)
     + B^dag B``, which vanishes identically for constructor-built
-    models.  ``drift_shift`` adds a multiple of the identity to the
-    drift before the check (a deliberate-defect hook: a shift ``eps``
-    raises the residual to ``2 eps``, an imaginary shift leaves it
-    unchanged).
+    models.
     """
     b = m.b_poly(x)
-    d = drift_operator(m, x)
-    if drift_shift != 0.0:
-        d = d + drift_shift * np.eye(m.dim)
-    a = d + (m.gamma * x) * b
+    a = drift_operator(m, x) + (m.gamma * x) * b
     resid = dagger(a) + a - (m.gamma * x) * (dagger(b) + b) + dagger(b) @ b
     return float(np.max(np.abs(resid)))
 

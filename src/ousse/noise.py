@@ -55,6 +55,7 @@ __all__ = [
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK_BUDGET = 1 << 19          # bytes of uniforms transformed at once: 32 rows of 1000 steps
+_CHUNK_ROWS = 4096               # trajectories per chunk of a batched run or OU sample
 
 
 def _mix64(x: int) -> int:
@@ -390,7 +391,6 @@ def sample_ou_values(
     gamma: float,
     n_paths: int,
     at_indices=None,
-    chunk_size: int = 4096,
     workers=None,
 ) -> np.ndarray:
     """OU path values for many trajectories, shape ``(n_paths, len(at_indices))``.
@@ -398,7 +398,7 @@ def sample_ou_values(
     Row ``i`` is driven by stream ``i`` of ``policy`` with the same
     draw order as the single-path functions, so any row can be replayed
     in isolation.  ``at_indices`` defaults to every grid node.  Rows are
-    drawn in chunks of at most ``chunk_size`` on up to ``workers``
+    drawn in chunks of at most ``_CHUNK_ROWS`` on up to ``workers``
     processes (see :mod:`ousse.parallel`); neither changes a bit.
     """
     gamma = _check_gamma(gamma, grid.dt)
@@ -407,7 +407,7 @@ def sample_ou_values(
     idx = np.asarray(at_indices, dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() > grid.n_steps):
         raise ValidationError(f"output indices must lie in [0, {grid.n_steps}]")
-    n_chunks = max(1, -(-n_paths // chunk_size))
+    n_chunks = max(1, -(-n_paths // _CHUNK_ROWS))
     n_workers = worker_count(workers, n_chunks)
     # rows are independent, so equal chunks, as many for every worker,
     # balance the pool without changing a bit

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ousse import ConfigError, ValidationError, dephasing_coherence, parse_config
-from ousse import cli, ensemble, parallel
+from ousse import cli, ensemble, model, parallel
 from ousse.config import KNOWN_SUITES
 from ousse.cli import cmd_verify, main
 
@@ -147,15 +147,11 @@ def test_default_battery_runs_for_every_combination(tmp_path, label, doc):
     # every kind and mode runs every suite; the oracle needs an x-independent generator
     constant = label.endswith(("constant", "gamma0"))
     assert cfg.checks.suites == (SUITES_ALL if constant else SUITES_ALL[:5])
-    # one entry rule and one report rule; ou_covariance passes by the fraction of its points
+    # one entry rule and one report rule
     for check in report["checks"]:
         for e in check["entries"]:
             assert e["passed"] == (e["statistic"] <= e["threshold"])
-        if check["name"] == "ou_covariance":
-            d = check["details"]
-            assert check["passed"] == (d["fraction_passed"] >= d["fraction_required"])
-        else:
-            assert check["passed"] == all(e["passed"] for e in check["entries"])
+        assert check["passed"] == all(e["passed"] for e in check["entries"])
 
 
 @pytest.mark.parametrize("doc,suite,need", [
@@ -236,6 +232,16 @@ CONFIG_EDITS = [
     (_edited("run.output_times", []), ["run.output_times: expected a non-empty list of times"]),
     (_edited("run.output_times", [0.0, "a"]),
      ["run.output_times[1]: expected a finite number, got 'a'"]),
+    # every block knows its fields; the model's depend on its kind
+    (_edited("model.K", {"coefficients": [SZ]}, measurement_doc([SM], "linear")),
+     ["model.K: unknown field"]),
+    (_edited("model.B", {"coefficients": [SZ]}), ["model.B: unknown field"]),
+    (_edited("model.kind", "other", _edited("model.B", {"coefficients": [SZ]})),
+     ["model.kind: expected \"random_hamiltonian\" or \"measurement\", got 'other'"]),
+    (_edited("grid.steps", 10), ["grid.steps: unknown field"]),
+    (_edited("run.levle", 2), ["run.levle: unknown field"]),
+    (_edited("checks.c_dsic", 1e-3), ["checks.c_dsic: unknown field"]),
+    (_edited("output.directroy", "out"), ["output.directroy: unknown field"]),
     (_edited("run.initial", []), ["run.initial: expected a non-empty list of [re, im] pairs"]),
     (_edited("run.observables", []),
      ["run.observables: expected an object mapping names to matrices"]),
@@ -260,9 +266,15 @@ CONFIG_EDITS = [
     (_edited("checks.suites", "all"), ["checks.suites: expected a list of suite names"]),
     (_edited("checks.c_disc", 0), ["checks.c_disc: must be > 0, got 0.0"]),
     (_edited("checks.c_fd", -1), ["checks.c_fd: must be > 0, got -1.0"]),
-    (_edited("checks.perturb_drift_epsilon", -1e-3),
-     ["checks.perturb_drift_epsilon: must be >= 0, got -0.001"]),
-    (_edited("checks.girsanov_times", "x"), ["checks.girsanov_times: expected a list of times"]),
+    (_edited("checks.perturb_drift_epsilon", 1e-3),
+     ["checks.perturb_drift_epsilon: unknown field"]),
+    # one rule for both lists of times
+    (_edited("checks.girsanov_times", "x"),
+     ["checks.girsanov_times: expected a non-empty list of times"]),
+    (_edited("checks.girsanov_times", []),
+     ["checks.girsanov_times: expected a non-empty list of times"]),
+    (_edited("checks.girsanov_times", [0.25, "a"]),
+     ["checks.girsanov_times[1]: expected a finite number, got 'a'"]),
     (_edited("output", []), ["output: expected an object"]),
     (_edited("output.directory", ""), ["output.directory: expected a non-empty string, got ''"]),
 ]
@@ -500,8 +512,7 @@ def test_verify_report_fields(tmp_path):
     (check,) = report["checks"]
     assert sorted(check) == ["details", "entries", "name", "passed"]
     assert check["name"] == "consistency" and check["passed"] is True
-    assert check["details"] == {"perturb_drift_epsilon": 0.0, "points": 21,
-                                "x_range": [-5.0, 5.0]}
+    assert check["details"] == {"points": 21, "x_range": [-5.0, 5.0]}
     assert len(check["entries"]) == 21
     for e in check["entries"]:
         assert sorted(e) == ["label", "passed", "statistic", "threshold", "time"]
@@ -509,10 +520,13 @@ def test_verify_report_fields(tmp_path):
         assert all(type(e[k]) is float for k in ("statistic", "threshold", "time"))
 
 
-def test_verify_reports_the_planted_defect(tmp_path):
+def test_verify_reports_the_planted_defect(tmp_path, monkeypatch):
     eps = 1e-3
+    drift_operator = model.drift_operator
+    monkeypatch.setattr(model, "drift_operator",
+                        lambda m, x: drift_operator(m, x) + eps * np.eye(m.dim))
     doc = dephasing_doc(n_traj=16, dt=1e-2, T=0.2)
-    doc["checks"] = {"suites": ["consistency"], "perturb_drift_epsilon": eps}
+    doc["checks"] = {"suites": ["consistency"]}
     cfg_path = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 3

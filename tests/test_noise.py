@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from ousse import parallel
+from ousse import noise, parallel
 from ousse import (
     NoisePath,
     SeedPolicy,
@@ -301,12 +301,13 @@ def test_sample_ou_values_matches_scalar_path_across_blocks():
         assert vals[i].tobytes() == x[nodes].tobytes(), i
 
 
-def test_sample_ou_values_unsorted_and_repeated_nodes():
+def test_sample_ou_values_unsorted_and_repeated_nodes(monkeypatch):
     # columns follow at_indices as given, repeats included, in every chunk
+    monkeypatch.setattr(noise, "_CHUNK_ROWS", 5)
     grid = TimeGrid(0.01, 40)
     pol = SeedPolicy(16)
     nodes = [40, 0, 7, 7, 40, 3]
-    vals = sample_ou_values(pol, grid, 0.9, 23, nodes, chunk_size=5, workers=1)
+    vals = sample_ou_values(pol, grid, 0.9, 23, nodes, workers=1)
     assert vals.shape == (23, len(nodes))
     for i in range(23):
         x = ou_path(sample_wiener(grid, pol.stream(i)), 0.9, grid)
@@ -316,8 +317,10 @@ def test_sample_ou_values_unsorted_and_repeated_nodes():
 def test_sample_ou_values_is_independent_of_workers_and_chunks(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     grid = TimeGrid(0.01, 40)
-    runs = [sample_ou_values(SeedPolicy(8), grid, 0.9, 230, [0, 7, 40], chunk_size=c, workers=w)
-            for c, w in ((50, 1), (50, 2), (4096, 1))]
+    runs = []
+    for rows, w in ((50, 1), (50, 2), (4096, 1)):
+        monkeypatch.setattr(noise, "_CHUNK_ROWS", rows)
+        runs.append(sample_ou_values(SeedPolicy(8), grid, 0.9, 230, [0, 7, 40], workers=w))
     assert runs[0].shape == (230, 3)
     assert all(r.tobytes() == runs[0].tobytes() for r in runs[1:])
     assert multiprocessing.active_children() == []
