@@ -56,10 +56,11 @@ def _gate(ctx, path, build, *args):
         return None
 
 
-def _unknown_fields(ctx, block, path, known):
+def _unknown_fields(ctx, block, name, extra=()):
+    known = _FIELDS[name] + extra
     for k in block:
         if k not in known:
-            ctx.err(f"{path}.{k}", "unknown field")
+            ctx.err(f"{name}.{k}", "unknown field")
 
 
 def _get_times(ctx, block, key, path, grid):
@@ -288,7 +289,7 @@ def parse_config(source) -> ExperimentConfig:
             ctx.err("model.kind", f'expected "random_hamiltonian" or "measurement", got {kind!r}')
             kind = None
         else:
-            _unknown_fields(ctx, mblock, "model", _FIELDS["model"] + _OPERATORS[kind])
+            _unknown_fields(ctx, mblock, "model", _OPERATORS[kind])
         gamma = _get_num(ctx, mblock, "gamma", "model", required=True)
         if gamma is not None:
             gamma = _gate(ctx, "model.gamma", _check_gamma, gamma)
@@ -317,7 +318,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(gblock, dict):
         ctx.err("grid", "missing required block")
     else:
-        _unknown_fields(ctx, gblock, "grid", _FIELDS["grid"])
+        _unknown_fields(ctx, gblock, "grid")
         dt = _get_num(ctx, gblock, "dt", "grid", required=True)
         horizon = _get_num(ctx, gblock, "T", "grid", required=True)
         if dt is not None and horizon is not None:
@@ -339,7 +340,7 @@ def parse_config(source) -> ExperimentConfig:
         ctx.err("run", "missing required block")
         rblock = {}
     else:
-        _unknown_fields(ctx, rblock, "run", _FIELDS["run"])
+        _unknown_fields(ctx, rblock, "run")
         mode = rblock.get("mode", "linear")
         density = mode in DENSITY_MODES
         mode = _gate(ctx, "run.mode", _check_mode, mode) or "linear"
@@ -384,7 +385,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(cblock, dict):
         ctx.err("checks", "expected an object")
         cblock = {}
-    _unknown_fields(ctx, cblock, "checks", _FIELDS["checks"])
+    _unknown_fields(ctx, cblock, "checks")
     suites = cblock.get("suites")
     if suites is not None:
         if (not isinstance(suites, list)
@@ -412,7 +413,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(oblock, dict):
         ctx.err("output", "expected an object")
     else:
-        _unknown_fields(ctx, oblock, "output", _FIELDS["output"])
+        _unknown_fields(ctx, oblock, "output")
         out_dir = oblock.get("directory", ".")
         if not isinstance(out_dir, str) or not out_dir:
             ctx.err("output.directory", f"expected a non-empty string, got {out_dir!r}")
