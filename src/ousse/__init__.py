@@ -4,7 +4,8 @@ The package splits into a small stack: ``linalg`` (dense operator
 helpers), ``noise`` (time grids, seeding, Wiener/OU sampling),
 ``model`` (operator polynomials and the consistency condition),
 ``dynamics`` (the one Euler-Maruyama step kernel per mode, batched over
-rows, and the single-trajectory propagator on top of it),
+columns, and the single-trajectory surface on top of it: ``step(mode,
+...)`` and ``propagate(mode, ...)``),
 ``ensemble`` (deterministic Monte Carlo averages, and the check
 battery of ``ousse verify``: its suites, pass rule and report rule),
 ``oracle`` (independent closed-form references), ``parallel`` (chunk
@@ -32,11 +33,9 @@ from .linalg import (
     sigma_z,
 )
 from .noise import (
-    NoisePath,
     SeedPolicy,
     TimeGrid,
     gaussians,
-    make_noise_path,
     ou_covariance,
     ou_path,
     ou_path_physical,
@@ -63,10 +62,7 @@ from .dynamics import (
     exact_commuting_solution,
     lindblad_apply,
     propagate,
-    step_density_linear,
-    step_linear,
-    step_nonlinear,
-    step_sme,
+    step,
 )
 from .ensemble import (
     CheckEntry,

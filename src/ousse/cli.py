@@ -26,11 +26,10 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config
 from .config import ExperimentConfig, parse_config
 from .dynamics import _measure_modes
-from .ensemble import (_SUITES, _covariance_nodes, _suite_problems, observable_series,
-                       run_ensemble)
+from .ensemble import _SUITES, _covariance_nodes, observable_series, run_ensemble
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
 from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
 
@@ -122,9 +121,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
     t0 = time.perf_counter()
-    # parse_config gates the suites, but a config rebuilt with dataclasses.replace skips it
-    if problems := _suite_problems(cfg.checks.suites, cfg.model):
-        raise ValidationError(f"checks.suites: {problems[0]}")
+    # a config rebuilt with dataclasses.replace skips parse_config's gates, so pass them again
+    try:
+        config.parse_config(cfg._document())
+    except ConfigError as e:
+        raise ValidationError(e.errors[0]) from None
     reference = functools.cache(
         functools.partial(_estimate, cfg, _measure_modes(cfg.initial)[0], workers))
     reports = [_SUITES[suite](cfg, reference, workers) for suite in cfg.checks.suites]

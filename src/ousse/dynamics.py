@@ -13,13 +13,13 @@ Modes
                     renormalization after every step
 
 Each mode's step is written once, in ``_Stepper``; ``run_ensemble``,
-``propagate`` and the ``step_*`` functions all step through it.  The
-density modes step the real Hermitian coordinates of rho (see
-:func:`ousse.oracle.hvec`) with real GEMMs; ``propagate`` and the
-``step_*`` functions take and return ``(d, d)`` matrices.  The
-OU value x advances with the same increment that drives the state, and
-a non-finite or collapsing state, or a non-finite OU value, raises a
-structured error naming the step.  The scheme is plain Euler-Maruyama
+``propagate`` and the one-step function ``step(mode, ...)`` all step
+through it.  The density modes step the real Hermitian coordinates of
+rho (see :func:`ousse.oracle.hvec`) with real GEMMs; ``propagate`` and
+``step`` take and return ``(d, d)`` matrices.  The OU value x advances
+with the same increment that drives the state, and a non-finite or
+collapsing state, or a non-finite OU value, raises a structured error
+naming the step.  The scheme is plain Euler-Maruyama
 throughout; accuracy is checked by convergence-order tests, not by
 higher-order steppers.
 """
@@ -31,17 +31,13 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 from .linalg import _fit_state, _unit_state, as_operator, as_state, dagger, matrix_exp
 from .model import ModelSpec
-from .noise import (NoisePath, TimeGrid, _check_gamma, _check_increments, _ou_next, ou_path,
-                    sample_wiener)
+from .noise import TimeGrid, _check_gamma, _check_increments, _ou_next, sample_wiener
 from .oracle import hvec, unhvec
 
 __all__ = [
     "Trajectory",
     "DensityTrajectory",
-    "step_linear",
-    "step_nonlinear",
-    "step_density_linear",
-    "step_sme",
+    "step",
     "lindblad_apply",
     "propagate",
     "exact_commuting_solution",
@@ -220,8 +216,15 @@ def _first_divergence(mode: str, cols, scales, xs=None):
     return i, f"{mode} step produced a non-finite {what}"
 
 
-def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
-    """One step of a single state; returns (state, m value or None)."""
+def step(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
+    """One Euler-Maruyama step of a single state in ``mode``; returns ``(state, m value)``.
+
+    The m value is the measurement drift at the step start: ``nonlinear``
+    and ``sme`` use it in the step, and a caller needs it to advance the
+    OU path under the physical measure.  It is None in the linear modes.  A state is a vector, or a hermitian ``(d, d)`` matrix
+    in the density modes (the result is exactly hermitian too); the
+    ``nonlinear`` and ``sme`` steps need it at unit norm or trace.
+    """
     stepper = _Stepper(m, mode)
     # a matrix's coordinates read only its upper triangle, so _fit_state's hermiticity matters
     gate = _unit_state if mode in PHYSICAL_MODES else _fit_state
@@ -234,32 +237,6 @@ def _step_one(mode: str, state, x: float, dw: float, dt: float, m: ModelSpec):
         raise DivergenceError(failure[1])
     out = unhvec(out, m.dim) if stepper.density else out
     return out, (None if mv is None else float(mv))
-
-
-def step_linear(psi, x: float, dw: float, dt: float, m: ModelSpec):
-    """One Euler-Maruyama step of the linear state equation."""
-    return _step_one("linear", psi, x, dw, dt, m)[0]
-
-
-def step_nonlinear(psi_hat, x: float, dw_hat: float, dt: float, m: ModelSpec):
-    """One step of the normalized equation; returns (state, m value).
-
-    The drift value m is computed from the incoming state, used in both
-    the quadratic drift correction and the shifted diffusion operator,
-    and returned so the caller can advance the OU path under the
-    physical measure with the same value.
-    """
-    return _step_one("nonlinear", psi_hat, x, dw_hat, dt, m)
-
-
-def step_density_linear(rho, x: float, dw: float, dt: float, m: ModelSpec):
-    """One step of the linear density equation; rho must be hermitian, and so is the result."""
-    return _step_one("density_linear", rho, x, dw, dt, m)[0]
-
-
-def step_sme(rho_tilde, x: float, dw_hat: float, dt: float, m: ModelSpec):
-    """One step of the nonlinear master equation, trace-renormalized."""
-    return _step_one("sme", rho_tilde, x, dw_hat, dt, m)[0]
 
 
 def lindblad_apply(m: ModelSpec, x: float, rho) -> np.ndarray:
@@ -278,30 +255,14 @@ def lindblad_apply(m: ModelSpec, x: float, rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single trajectories
 
-def _resolve_noise(noise, grid: TimeGrid, gamma: float):
-    """The increments of the run; a NoisePath must also carry the OU path they drive."""
-    if isinstance(noise, NoisePath):
-        if noise.grid != grid:
-            raise ValidationError("noise path grid does not match the propagation grid")
-        if not np.array_equal(noise.X, ou_path(noise.dW, gamma, grid)):
-            raise ValidationError(
-                f"noise path X is not the OU path of its dW at the model's gamma = {gamma!r}"
-            )
-        return noise.dW
-    if isinstance(noise, np.random.Generator):
-        return sample_wiener(grid, noise)
-    return _check_increments(noise, grid)
-
-
 def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     """Integrate one trajectory and keep the full path.
 
-    ``noise`` may be a NoisePath (its increments are replayed; its X
-    must be ``ou_path(dW, m.gamma, grid)``), a Generator (increments
-    drawn in the documented order), or a raw increment array.  X is
-    always stepped with the state: linear modes evolve under the
-    reference measure; nonlinear and sme modes evolve under the
-    physical measure, advancing X with the recorded m values.
+    ``noise`` is a raw increment array or a Generator (increments drawn
+    in the documented order).  X is always stepped with the state:
+    linear modes evolve under the reference measure; nonlinear and sme
+    modes evolve under the physical measure, advancing X with the
+    recorded m values.
 
     The state steps through ``_Stepper.step`` as one 1-D column, with
     ``x`` and ``dw`` as floats.  The gates are checked once per block of
@@ -313,7 +274,8 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     if grid.n_steps > MAX_STEPS:
         raise ValidationError(f"n_steps {grid.n_steps} exceeds the per-trajectory cap {MAX_STEPS}")
     _check_gamma(m.gamma, grid.dt)
-    dw = _resolve_noise(noise, grid, m.gamma)
+    dw = (sample_wiener(grid, noise) if isinstance(noise, np.random.Generator)
+          else _check_increments(noise, grid))
     state = _unit_state(initial, stepper.density, m.dim, cone=True)
     n = grid.n_steps
     dt = grid.dt
@@ -327,7 +289,7 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
     col = hvec(state) if stepper.density else state
     rows = np.empty((n + 1, col.shape[0]), dtype=col.dtype)
     rows[0] = col
-    step = stepper.step
+    advance = stepper.step
     dws = dw.tolist()
     x = 0.0
     # overflow is the very condition the finiteness checks detect
@@ -335,7 +297,7 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
         for lo in range(0, n, _CHECK_BLOCK):
             hi = min(lo + _CHECK_BLOCK, n)
             for k in range(lo, hi):
-                col, x, mv, scale = step(col, x, dws[k], dt)
+                col, x, mv, scale = advance(col, x, dws[k], dt)
                 rows[k + 1] = col
                 x_out[k + 1] = x
                 if physical:

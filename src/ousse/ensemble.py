@@ -170,7 +170,6 @@ class EnsembleEstimate:
     """
 
     grid: TimeGrid              # the grid actually integrated (refined if level > 0)
-    base_grid: TimeGrid
     level: int
     mode: str
     master_seed: int
@@ -250,7 +249,9 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
             nodes.append(grid.n_steps)
         output_nodes = nodes
     nodes = np.asarray(sorted(set(int(k) for k in output_nodes)), dtype=int)
-    if nodes.size == 0 or nodes[0] < 0 or nodes[-1] > grid.n_steps:
+    if nodes.size == 0:
+        raise ValidationError("need at least one output node")
+    if nodes[0] < 0 or nodes[-1] > grid.n_steps:
         raise ValidationError(f"output nodes must lie in [0, {grid.n_steps}]")
 
     grid_eff = grid.refined(level)
@@ -318,7 +319,6 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
 
     est = EnsembleEstimate(
         grid=grid_eff,
-        base_grid=grid,
         level=level,
         mode=mode,
         master_seed=seeds.master_seed,

@@ -25,7 +25,9 @@ The OU path follows the Euler rule
 
 with ``m[k] dt`` added before ``dW[k]`` under the physical measure.
 Every OU path in the package, single, sampled or stepped with a state,
-advances through the one update ``_ou_next``, so they agree bitwise.
+advances through the one update ``_ou_next``, so they agree bitwise.  A
+path is never taken as input: a single trajectory gets its increments,
+or the stream they are drawn from, and steps X from them.
 """
 
 import math
@@ -38,9 +40,7 @@ from .parallel import map_chunks, worker_count
 
 __all__ = [
     "TimeGrid",
-    "NoisePath",
     "SeedPolicy",
-    "make_noise_path",
     "gaussians",
     "sample_wiener",
     "refine_increments",
@@ -117,45 +117,16 @@ class TimeGrid:
 
 def _check_increments(dw, grid: TimeGrid) -> np.ndarray:
     """``dw`` as a float array of ``grid.n_steps`` finite increments: the one increments gate."""
-    dw = np.asarray(dw, dtype=float)
+    try:
+        dw = np.asarray(dw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"expected {grid.n_steps} increments, got a {type(dw).__name__}") from None
     if dw.shape != (grid.n_steps,):
         raise ValidationError(f"expected {grid.n_steps} increments, got shape {dw.shape}")
     if not np.isfinite(dw).all():
         raise ValidationError("increments contain non-finite entries")
     return dw
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """A realized (dW, X) pair on a grid, replayable into any integrator."""
-
-    grid: TimeGrid
-    dW: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        dw = np.array(_check_increments(self.dW, self.grid))
-        x = np.array(self.X, dtype=float)
-        if x.shape != (self.grid.n_steps + 1,):
-            raise ValidationError(f"X must have {self.grid.n_steps + 1} entries, got {x.shape}")
-        if x[0] != 0.0:
-            raise ValidationError(f"X[0] must be 0, got {x[0]!r}")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("noise path X contains non-finite entries")
-        for arr in (dw, x):
-            arr.flags.writeable = False
-        object.__setattr__(self, "dW", dw)
-        object.__setattr__(self, "X", x)
-
-
-def make_noise_path(grid: TimeGrid, gamma: float, stream: np.random.Generator, level: int = 0) -> NoisePath:
-    """Draw increments and integrate the OU path in one go.
-
-    With ``level > 0`` the returned path lives on ``grid.refined(level)``.
-    """
-    fine = grid.refined(level)
-    dw = sample_wiener(grid, stream, level)
-    return NoisePath(fine, dw, ou_path(dw, gamma, fine))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from ousse import (
     sigma_minus,
     sigma_x,
     sigma_z,
-    step_linear,
-    step_nonlinear,
+    step,
 )
 
 from conftest import random_model, random_unit_state
@@ -212,9 +211,9 @@ def test_criterion_10_nonlinear_linear_identity():
             x = float(rng.normal())
             dt = 1e-3
             dw = float(rng.normal()) * np.sqrt(dt)
-            nl, mv = step_nonlinear(psi, x, dw, dt, m)
+            nl, mv = step("nonlinear", psi, x, dw, dt, m)
             assert mv == 0.0
-            lin = step_linear(psi, x, dw, dt, m)
+            lin = step("linear", psi, x, dw, dt, m)[0]
             lin = lin / np.linalg.norm(lin)
             assert np.max(np.abs(nl - lin)) <= 1e-12
     ok(10, "nonlinear step equals the normalized linear step", b)

@@ -568,6 +568,24 @@ def test_verify_regates_a_rebuilt_config(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_verify_rejects_a_rebuilt_config_without_girsanov_times(tmp_path, monkeypatch):
+    # the field's own rule and message, before any ensemble runs
+    cfg = parse_config(json.dumps(dephasing_doc(n_traj=16, T=0.2)))
+    rebuilt = dataclasses.replace(cfg, checks=dataclasses.replace(
+        cfg.checks, girsanov_times=(), suites=("girsanov",)))
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
+    monkeypatch.setattr(ensemble, "run_ensemble", no_ensemble)
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError,
+                       match=r"^checks\.girsanov_times: expected a non-empty list of times$"):
+        cmd_verify(rebuilt, str(out))
+    assert not out.exists()
+
+
 def test_covariance_subcommand(tmp_path):
     out = tmp_path / "cov"
     code = main(["covariance", "--gamma", "1.0", "--tmax", "1.0", "--dt", "0.01",

@@ -4,7 +4,6 @@ import pytest
 from ousse import dynamics, ensemble, model, oracle
 from ousse import (
     DivergenceError,
-    NoisePath,
     SeedPolicy,
     TimeGrid,
     ValidationError,
@@ -15,7 +14,6 @@ from ousse import (
     lindblad_apply,
     make_measurement_model,
     make_random_hamiltonian,
-    make_noise_path,
     matrix_exp,
     outer,
     ou_path,
@@ -26,10 +24,7 @@ from ousse import (
     sigma_minus,
     sigma_x,
     sigma_z,
-    step_density_linear,
-    step_linear,
-    step_nonlinear,
-    step_sme,
+    step,
 )
 
 from conftest import MODE_IDS, MODES_AND_KINDS, random_hermitian, random_model, random_unit_state
@@ -48,12 +43,12 @@ def test_step_linear_pure_drift():
     # H=0, K=sigma_z, x=0, dW=0: drift is -I/2, so psi' = (1 - dt/2) psi
     m = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.3)
     dt = 1e-3
-    out = step_linear(PLUS, 0.0, 0.0, dt, m)
+    out = step("linear", PLUS, 0.0, 0.0, dt, m)[0]
     assert np.allclose(out, (1.0 - dt / 2) * PLUS, atol=1e-15)
 
 
 def test_step_linear_zero_model():
-    out = step_linear(PLUS, 0.7, 0.2, 1e-2, zero_model())
+    out = step("linear", PLUS, 0.7, 0.2, 1e-2, zero_model())[0]
     assert np.array_equal(out, PLUS)
 
 
@@ -65,7 +60,7 @@ def test_step_linear_one_step_order():
     errs = []
     for dt in (1e-2, 2.5e-3, 6.25e-4):
         dw = z * np.sqrt(dt)
-        euler = step_linear(PLUS, 0.0, dw, dt, m)
+        euler = step("linear", PLUS, 0.0, dw, dt, m)[0]
         exact = exact_commuting_solution(PLUS, np.zeros((2, 2)), sigma_z, dw, dt)
         errs.append(np.linalg.norm(euler - exact))
     # local error is O(dt): each 4x dt cut divides it by about 4
@@ -74,7 +69,7 @@ def test_step_linear_one_step_order():
 
 
 def test_step_nonlinear_zero_model():
-    out, mv = step_nonlinear(PLUS, 0.3, -0.1, 1e-2, zero_model())
+    out, mv = step("nonlinear", PLUS, 0.3, -0.1, 1e-2, zero_model())
     assert mv == 0.0
     assert np.allclose(out, PLUS, atol=1e-15)
 
@@ -83,7 +78,7 @@ def test_step_nonlinear_dark_state():
     # the state annihilated by B is a fixed point for any increment
     m = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
     for dw in (-0.5, 0.0, 0.3):
-        out, mv = step_nonlinear(E1, 0.2, dw, 1e-2, m)
+        out, mv = step("nonlinear", E1, 0.2, dw, 1e-2, m)
         assert mv == 0.0
         assert np.allclose(out, E1, atol=1e-15)
 
@@ -94,9 +89,9 @@ def test_step_nonlinear_matches_normalized_linear_for_rh():
     for _ in range(50):
         psi = random_unit_state(rng, 3)
         x, dw, dt = float(rng.normal()), float(rng.normal(0, 0.03)), 1e-3
-        nl, mv = step_nonlinear(psi, x, dw, dt, m)
+        nl, mv = step("nonlinear", psi, x, dw, dt, m)
         assert mv == 0.0
-        lin = step_linear(psi, x, dw, dt, m)
+        lin = step("linear", psi, x, dw, dt, m)[0]
         lin = lin / np.linalg.norm(lin)
         assert np.max(np.abs(nl - lin)) < 1e-12
 
@@ -104,11 +99,11 @@ def test_step_nonlinear_matches_normalized_linear_for_rh():
 def test_step_nonlinear_gates():
     m = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
     with pytest.raises(ValidationError, match="norm"):
-        step_nonlinear(2.0 * E0, 0.0, 0.0, 1e-3, m)
+        step("nonlinear", 2.0 * E0, 0.0, 0.0, 1e-3, m)
     # a full decay step with no noise annihilates the state
     mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
     with pytest.raises(DivergenceError):
-        step_nonlinear(E0, 0.0, 0.0, 2.0, mx)
+        step("nonlinear", E0, 0.0, 0.0, 2.0, mx)
 
 
 def test_step_nonlinear_near_collapse_is_a_divergence():
@@ -117,7 +112,7 @@ def test_step_nonlinear_near_collapse_is_a_divergence():
     mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
     dt = 2.0 - 1e-13
     with pytest.raises(DivergenceError, match="collapsed"):
-        step_nonlinear(E0, 0.0, 0.0, dt, mx)
+        step("nonlinear", E0, 0.0, 0.0, dt, mx)
     with pytest.raises(DivergenceError, match="collapsed") as info:
         propagate("nonlinear", E0, np.zeros(1), mx, TimeGrid(dt, 1))
     assert info.value.step == 0
@@ -150,9 +145,9 @@ def test_vector_steps_match_operator_euler_step():
         for x in (-1.7, 0.0, 0.45, 2.3):
             dw, dt = float(rng.normal(0.0, 0.1)), 1e-2
             want, _, scale = _euler_reference("linear", m, psi, x, dw, dt)
-            assert np.max(np.abs(step_linear(psi, x, dw, dt, m) - want)) <= 1e-12 * scale
+            assert np.max(np.abs(step("linear", psi, x, dw, dt, m)[0] - want)) <= 1e-12 * scale
             want, mv_want, scale = _euler_reference("nonlinear", m, psi, x, dw, dt)
-            got, mv = step_nonlinear(psi, x, dw, dt, m)
+            got, mv = step("nonlinear", psi, x, dw, dt, m)
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
             s = diffusion_operator(m, x)
             assert abs(mv - mv_want) <= 1e-12 * np.max(np.abs(s + s.conj().T)) * m.dim
@@ -190,9 +185,9 @@ def test_density_steps_match_lindblad_apply_step():
         for x in (-1.7, 0.0, 0.45, 2.3):
             dw, dt = float(rng.normal(0.0, 0.1)), 1e-2
             want, scale = _density_reference("sme", m, rho, x, dw, dt)
-            assert np.max(np.abs(step_sme(rho, x, dw, dt, m) - want)) <= 1e-12 * scale
+            assert np.max(np.abs(step("sme", rho, x, dw, dt, m)[0] - want)) <= 1e-12 * scale
             want, scale = _density_reference("density_linear", m, rho, x, dw, dt)
-            got = step_density_linear(rho, x, dw, dt, m)
+            got = step("density_linear", rho, x, dw, dt, m)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
     assert degrees >= {0, 1, 2}
 
@@ -201,18 +196,18 @@ def test_step_density_linear():
     m = make_random_hamiltonian(np.zeros((2, 2)), sigma_z, 1.0)
     # identity is a fixed point of every commutator
     half = np.eye(2, dtype=complex) / 2
-    assert np.allclose(step_density_linear(half, 1.1, 0.4, 1e-2, m), half, atol=1e-15)
+    assert np.allclose(step("density_linear", half, 1.1, 0.4, 1e-2, m)[0], half, atol=1e-15)
     # dephasing drift scales the off-diagonal by exactly (1 - 2 dt) when dW=0
     rho = outer(PLUS)
     dt = 1e-3
-    out = step_density_linear(rho, 0.0, 0.0, dt, m)
+    out = step("density_linear", rho, 0.0, 0.0, dt, m)[0]
     assert out[0, 1] == pytest.approx(0.5 * (1.0 - 2.0 * dt), abs=1e-15)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
     # a measurement model steps the same linear equation, with flow B rho + rho B^dag
     mm = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
     flow = sigma_minus @ rho + rho @ sigma_minus.conj().T
     want = rho + dt * lindblad_apply(mm, 0.0, rho) + 0.3 * flow
-    assert np.allclose(step_density_linear(rho, 0.0, 0.3, dt, mm), want, rtol=0.0, atol=1e-15)
+    assert np.allclose(step("density_linear", rho, 0.0, 0.3, dt, mm)[0], want, rtol=0.0, atol=1e-15)
 
 
 def test_step_density_linear_tracks_outer_of_state_step():
@@ -226,8 +221,8 @@ def test_step_density_linear_tracks_outer_of_state_step():
             psi = random_unit_state(rng, 2)
             x = float(rng.normal())
             dw = float(rng.normal()) * np.sqrt(dt)
-            a = outer(step_linear(psi, x, dw, dt, m))
-            b = step_density_linear(outer(psi), x, dw, dt, m)
+            a = outer(step("linear", psi, x, dw, dt, m)[0])
+            b = step("density_linear", outer(psi), x, dw, dt, m)[0]
             g += np.max(np.abs(a - b))
         gaps.append(g / 200)
     # Ito order counting: the mean gap shrinks ~linearly with dt
@@ -242,27 +237,27 @@ def test_step_sme_matches_density_linear_for_rh():
         psi = random_unit_state(rng, 2)
         rho = outer(psi)
         x, dw, dt = float(rng.normal()), float(rng.normal(0, 0.05)), 1e-3
-        a = step_sme(rho, x, dw, dt, m)
-        b = step_density_linear(rho, x, dw, dt, m)
+        a = step("sme", rho, x, dw, dt, m)[0]
+        b = step("density_linear", rho, x, dw, dt, m)[0]
         # B = -iK kills the trace flow, so only rounding separates the two
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_step_sme_zero_model_and_gates():
     rho = outer(PLUS)
-    assert np.allclose(step_sme(rho, 0.5, 0.2, 1e-2, zero_model()), rho, atol=1e-15)
+    assert np.allclose(step("sme", rho, 0.5, 0.2, 1e-2, zero_model())[0], rho, atol=1e-15)
     m = make_measurement_model(np.zeros((2, 2)), sigma_minus, 1.0)
     with pytest.raises(ValidationError, match="trace"):
-        step_sme(2.0 * rho, 0.0, 0.0, 1e-3, m)
+        step("sme", 2.0 * rho, 0.0, 0.0, 1e-3, m)
 
 
 def test_density_gates_take_non_contiguous_matrices():
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     rho = outer(PLUS)
-    once = np.asfortranarray(step_sme(rho, 0.1, 0.05, 1e-2, m))
+    once = np.asfortranarray(step("sme", rho, 0.1, 0.05, 1e-2, m)[0])
     assert not once.flags.c_contiguous
-    twice = step_sme(once, 0.2, -0.05, 1e-2, m)
-    assert np.array_equal(twice, step_sme(np.ascontiguousarray(once), 0.2, -0.05, 1e-2, m))
+    twice = step("sme", once, 0.2, -0.05, 1e-2, m)[0]
+    assert np.array_equal(twice, step("sme", np.ascontiguousarray(once), 0.2, -0.05, 1e-2, m)[0])
     rh = make_random_hamiltonian(sigma_x.T, sigma_z, 1.0)
     assert np.array_equal(rh.h_poly.coefficients[0], sigma_x)
     grid = TimeGrid(1e-2, 10)
@@ -285,7 +280,7 @@ def test_density_initials_are_density_matrices():
             with pytest.raises(ValidationError, match=what):
                 run_ensemble(model, grid, 4, SeedPolicy(3), mode, rho)
     # a stepped matrix may leave the cone: the per-step gate checks the trace only
-    assert np.isclose(np.trace(step_sme(negative, 0.0, 0.0, 1e-2, m)).real, 1.0)
+    assert np.isclose(np.trace(step("sme", negative, 0.0, 0.0, 1e-2, m)[0]).real, 1.0)
 
 
 def test_density_steps_reject_non_hermitian_matrices():
@@ -294,23 +289,24 @@ def test_density_steps_reject_non_hermitian_matrices():
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     skew = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValidationError, match="not hermitian"):
-        step_density_linear(skew, 0.0, 0.1, 1e-2, rh)
+        step("density_linear", skew, 0.0, 0.1, 1e-2, rh)
     with pytest.raises(ValidationError, match="not hermitian"):
-        step_sme(skew, 0.0, 0.1, 1e-2, m)
+        step("sme", skew, 0.0, 0.1, 1e-2, m)
     # the results are exactly hermitian, with a real diagonal
     rho = outer(PLUS)
-    for out in (step_density_linear(rho, 0.3, 0.1, 1e-2, rh), step_sme(rho, 0.3, 0.1, 1e-2, m)):
+    for out in (step("density_linear", rho, 0.3, 0.1, 1e-2, rh)[0],
+                step("sme", rho, 0.3, 0.1, 1e-2, m)[0]):
         assert np.array_equal(out, out.conj().T)
         assert np.all(np.diag(out).imag == 0.0)
 
 
-@pytest.mark.parametrize("step", [step_linear, step_nonlinear, step_density_linear, step_sme])
-def test_steps_gate_their_state(step):
+@pytest.mark.parametrize("mode", dynamics.MODES, ids=lambda mode: f"step_{mode}")
+def test_steps_gate_their_state(mode):
     # every step checks that its state fits the model, the linear ones included
     m = make_random_hamiltonian(0.5 * sigma_z, sigma_x, 1.0)
-    density = step in (step_density_linear, step_sme)
+    density = mode in dynamics.DENSITY_MODES
     good = outer(PLUS) if density else PLUS
-    step(good, 0.1, 0.05, 1e-2, m)
+    step(mode, good, 0.1, 0.05, 1e-2, m)
     non_finite = np.array(good, dtype=complex)
     non_finite.flat[0] = np.nan
     wrong_dim = np.eye(3) / 3 if density else np.array([1.0, 0.0, 0.0])
@@ -319,7 +315,31 @@ def test_steps_gate_their_state(step):
                            (wrong_ndim, "square matrix" if density else "1-D vector"),
                            (non_finite, "non-finite")):
         with pytest.raises(ValidationError, match=problem):
-            step(state, 0.1, 0.05, 1e-2, m)
+            step(mode, state, 0.1, 0.05, 1e-2, m)
+
+
+@pytest.mark.parametrize("mode, kind", MODES_AND_KINDS, ids=MODE_IDS)
+def test_step_is_row_one_of_propagate(mode, kind):
+    # the one-step function and propagate step through the same kernel, bit for bit
+    rng = np.random.default_rng(29)
+    m = random_model(rng, 3, kind)
+    psi = random_unit_state(rng, 3)
+    density = mode in dynamics.DENSITY_MODES
+    initial = outer(psi) if density else psi
+    dt, dw = 1e-2, 0.07
+    got, mv = step(mode, initial, 0.0, dw, dt, m)
+    traj = propagate(mode, initial, [dw], m, TimeGrid(dt, 1))
+    want = traj.matrices[1] if density else traj.states[1]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if mode in dynamics.PHYSICAL_MODES:
+        assert np.float64(mv).tobytes() == traj.m_record[0].tobytes()
+    else:
+        assert mv is None
+
+
+def test_step_rejects_an_unknown_mode():
+    with pytest.raises(ValidationError, match="unknown mode 'weak'"):
+        step("weak", PLUS, 0.0, 0.0, 1e-2, zero_model())
 
 
 def test_steps_build_the_model_coefficients_once(monkeypatch):
@@ -334,8 +354,8 @@ def test_steps_build_the_model_coefficients_once(monkeypatch):
         if hasattr(module, "generator_coefficients"):
             monkeypatch.setattr(module, "generator_coefficients", spy)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
-    rho = step_sme(outer(PLUS), 0.1, 0.05, 1e-2, m)
-    step_sme(rho, 0.2, -0.05, 1e-2, m)
+    rho = step("sme", outer(PLUS), 0.1, 0.05, 1e-2, m)[0]
+    step("sme", rho, 0.2, -0.05, 1e-2, m)
     assert len(calls) == 1
 
 
@@ -349,9 +369,9 @@ def test_step_sme_tracks_outer_of_nonlinear_step():
             psi = random_unit_state(rng, 2)
             x = float(rng.normal())
             dw = float(rng.normal()) * np.sqrt(dt)
-            nl, _ = step_nonlinear(psi, x, dw, dt, m)
+            nl, _ = step("nonlinear", psi, x, dw, dt, m)
             a = outer(nl)
-            b = step_sme(outer(psi), x, dw, dt, m)
+            b = step("sme", outer(psi), x, dw, dt, m)[0]
             g += np.max(np.abs(a - b))
         gaps.append(g / 200)
     assert 2.8 < gaps[0] / gaps[1] < 5.6
@@ -382,26 +402,11 @@ def test_propagate_noise_forms_agree():
     m = make_random_hamiltonian(sigma_z, sigma_x, 0.9)
     pol = SeedPolicy(31)
     dw = sample_wiener(grid, pol.stream(0))
-    path = make_noise_path(grid, 0.9, pol.stream(0))
     t1 = propagate("linear", PLUS, dw, m, grid)
-    t2 = propagate("linear", PLUS, path, m, grid)
-    t3 = propagate("linear", PLUS, pol.stream(0), m, grid)
+    t2 = propagate("linear", PLUS, pol.stream(0), m, grid)
     assert np.array_equal(t1.states, t2.states)
-    assert np.array_equal(t1.states, t3.states)
     assert np.array_equal(t1.X, ou_path(dw, 0.9, grid))
     assert t1.measure == "Q"
-
-
-@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_propagate_rejects_a_noise_path_of_another_gamma(mode):
-    # X always comes from the stepper, so a path's X must be the one its dW drives
-    grid = TimeGrid(1e-2, 60)
-    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 0.9)
-    path = make_noise_path(grid, 0.5, SeedPolicy(33).stream(0))
-    with pytest.raises(ValidationError, match="noise path X"):
-        propagate(mode, PLUS, path, m, grid)
-    same = propagate(mode, PLUS, make_noise_path(grid, 0.9, SeedPolicy(33).stream(0)), m, grid)
-    assert same.X.tobytes() == propagate(mode, PLUS, path.dW, m, grid).X.tobytes()
 
 
 def test_propagate_physical_mode_x_replay():
@@ -470,18 +475,26 @@ def test_propagate_validation():
     (np.zeros(9), "expected 10 increments"),
 ], ids=["nan", "inf", "short"])
 def test_increments_pass_one_gate(dw, problem):
-    # raw increments, the OU paths they drive and a NoisePath all reject the same arrays
+    # raw increments and the OU paths they drive reject the same arrays
     grid = TimeGrid(1e-2, 10)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     for call in (lambda: propagate("linear", PLUS, dw, m, grid),
                  lambda: ou_path(dw, 1.0, grid),
-                 lambda: ou_path_physical(dw, np.zeros(10), 1.0, grid),
-                 lambda: NoisePath(grid, dw, np.zeros(11))):
+                 lambda: ou_path_physical(dw, np.zeros(10), 1.0, grid)):
         with pytest.raises(ValidationError, match=problem):
             call()
     # the drift record of a physical-measure path passes the same rules
     with pytest.raises(ValidationError, match=problem.replace("increments", "drift values")):
         ou_path_physical(np.zeros(10), dw, 1.0, grid)
+
+
+def test_propagate_rejects_a_noise_of_neither_form():
+    # noise is increments or a Generator; a SeedPolicy is not a stream of its own
+    grid = TimeGrid(1e-2, 10)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    for noise, name in ((SeedPolicy(3), "SeedPolicy"), ("abc", "str"), (object(), "object")):
+        with pytest.raises(ValidationError, match=f"^expected 10 increments, got a {name}$"):
+            propagate("linear", PLUS, noise, m, grid)
 
 
 def test_propagate_divergence_reports_step():
@@ -510,9 +523,9 @@ def test_propagate_reports_first_non_finite_step(mode, kind):
         m = make_measurement_model(np.zeros((2, 2)), 10.0 * sigma_x, 0.7)
     initial = outer(E0) if mode in ("density_linear", "sme") else E0
     what = "matrix" if mode in ("density_linear", "sme") else "state"
-    text, step = _divergence(mode, initial, dw, m, grid)
+    text, k = _divergence(mode, initial, dw, m, grid)
     assert text == f"{mode} step produced a non-finite {what} at step 7 (t = 0.0007)"
-    assert step == 7
+    assert k == 7
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear", "density_linear", "sme"])
@@ -521,9 +534,9 @@ def test_propagate_reports_first_non_finite_ou_value(mode):
     # while the zero model leaves the state as it was; an ensemble drops such a row
     initial = outer(E0) if mode in ("density_linear", "sme") else E0
     what = "matrix" if mode in ("density_linear", "sme") else "state"
-    text, step = _divergence(mode, initial, [1e308, 1e308, 0.0], zero_model(), TimeGrid(1e-3, 3))
+    text, k = _divergence(mode, initial, [1e308, 1e308, 0.0], zero_model(), TimeGrid(1e-3, 3))
     assert text == f"{mode} step produced a non-finite {what} at step 1 (t = 0.001)"
-    assert step == 1
+    assert k == 1
 
 
 def test_propagate_reports_first_norm_collapse():
@@ -531,9 +544,9 @@ def test_propagate_reports_first_norm_collapse():
     mx = make_measurement_model(np.zeros((2, 2)), sigma_x, 0.0)
     dw = np.full(12, 0.5)
     dw[5] = 0.0
-    text, step = _divergence("nonlinear", E0, dw, mx, TimeGrid(2.0, 12))
+    text, k = _divergence("nonlinear", E0, dw, mx, TimeGrid(2.0, 12))
     assert text == "state norm collapsed to 0.000e+00 before renormalization at step 5 (t = 10)"
-    assert step == 5
+    assert k == 5
 
 
 def test_propagate_reports_first_trace_collapse():
@@ -542,19 +555,19 @@ def test_propagate_reports_first_trace_collapse():
     m = make_measurement_model(np.zeros((2, 2)), c * sigma_z, 0.0)
     dw = np.zeros(20)
     dw[9] = 1e17 / c
-    text, step = _divergence("sme", outer(PLUS), dw, m, TimeGrid(1e-2, 20))
+    text, k = _divergence("sme", outer(PLUS), dw, m, TimeGrid(1e-2, 20))
     assert text == "trace collapsed to 0.000e+00 before renormalization at step 9 (t = 0.09)"
-    assert step == 9
+    assert k == 9
 
 
 def test_propagate_stops_soon_after_an_early_divergence(monkeypatch):
     # a divergence at step 5 of 100 000 costs at most one block of further steps
     calls = []
-    step = dynamics._Stepper.step
+    original = dynamics._Stepper.step
 
     def spy(self, *args):
         calls.append(1)
-        return step(self, *args)
+        return original(self, *args)
 
     monkeypatch.setattr(dynamics._Stepper, "step", spy)
     n = 100_000
@@ -570,11 +583,11 @@ def test_overflowed_norm_is_a_divergence_at_its_step():
     # K = 1e154 sigma_z puts a drift of about 5e304 into the first step: the state stays
     # finite, its squared norm overflows, and dividing by that infinite norm would zero it
     m = make_random_hamiltonian(np.zeros((2, 2)), 1e154 * sigma_z, 0.0)
-    text, step = _divergence("nonlinear", E0, np.zeros(3), m, TimeGrid(1e-3, 3))
+    text, k = _divergence("nonlinear", E0, np.zeros(3), m, TimeGrid(1e-3, 3))
     assert text == "nonlinear step produced a non-finite state at step 0 (t = 0)"
-    assert step == 0
+    assert k == 0
     with pytest.raises(DivergenceError, match="non-finite state"):
-        step_nonlinear(E0, 0.0, 0.0, 1e-3, m)
+        step("nonlinear", E0, 0.0, 0.0, 1e-3, m)
 
 
 # kind None draws either kind for each model
@@ -639,5 +652,6 @@ def test_density_steps_preserve_hermiticity():
     m = make_random_hamiltonian(random_hermitian(rng, 2), random_hermitian(rng, 2), 1.0)
     rho = outer(random_unit_state(rng, 2))
     for _ in range(100):
-        rho = step_density_linear(rho, float(rng.normal()), float(rng.normal(0, 0.03)), 1e-3, m)
+        x, dw = float(rng.normal()), float(rng.normal(0, 0.03))
+        rho = step("density_linear", rho, x, dw, 1e-3, m)[0]
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12

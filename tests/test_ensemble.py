@@ -483,6 +483,12 @@ def test_validation():
         run_ensemble(m, grid, 4, SeedPolicy(0), "linear", PLUS, output_nodes=[0, 11])
 
 
+def test_empty_output_nodes_are_rejected():
+    grid = TimeGrid(0.1, 10)
+    with pytest.raises(ValidationError, match="^need at least one output node$"):
+        run_ensemble(dephasing_model(), grid, 4, SeedPolicy(0), "linear", PLUS, output_nodes=[])
+
+
 def test_divergence_abort():
     # the decay drift alone overflows the state well before the horizon
     grid = TimeGrid(0.5, 50)

@@ -1,7 +1,9 @@
 """Import boundary: scipy loads only where ``matrix_exp`` runs."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +62,11 @@ def test_summary_records_the_scipy_version(tmp_path):
     versions = json.loads((out / "summary.json").read_text())["versions"]
     assert versions["scipy"] == scipy.__version__
     assert versions["numpy"] == np.__version__
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted fails here
+    for info in pkgutil.iter_modules(ousse.__path__):
+        module = importlib.import_module(f"ousse.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"ousse.{info.name}.__all__ names {missing}"

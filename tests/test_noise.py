@@ -6,12 +6,10 @@ import pytest
 
 from ousse import noise, parallel
 from ousse import (
-    NoisePath,
     SeedPolicy,
     TimeGrid,
     ValidationError,
     gaussians,
-    make_noise_path,
     ou_covariance,
     ou_path,
     ou_path_physical,
@@ -326,16 +324,3 @@ def test_sample_ou_values_is_independent_of_workers_and_chunks(monkeypatch):
     assert multiprocessing.active_children() == []
     with pytest.raises(ValidationError, match="workers"):
         sample_ou_values(SeedPolicy(8), grid, 0.9, 230, [7], workers=0)
-
-
-def test_noise_path_type():
-    grid = TimeGrid(0.1, 10)
-    path = make_noise_path(grid, 0.5, SeedPolicy(9).stream(0))
-    assert path.X[0] == 0.0
-    assert path.dW.shape == (10,) and path.X.shape == (11,)
-    assert np.array_equal(path.X, ou_path(path.dW, 0.5, grid))
-    assert not path.X.flags.writeable and not path.dW.flags.writeable
-    with pytest.raises(ValidationError):
-        NoisePath(grid, np.zeros(10), np.ones(11))  # X[0] != 0
-    with pytest.raises(ValidationError):
-        NoisePath(grid, np.zeros(9), np.zeros(11))  # length mismatch
