@@ -2,7 +2,8 @@
 
 The package splits into a small stack: ``linalg`` (dense operator
 helpers), ``noise`` (time grids, seeding, Wiener/OU sampling),
-``model`` (operator polynomials and the consistency condition),
+``model`` (operator polynomials, and the per-power coefficients the
+steppers run, cached once per model),
 ``dynamics`` (the one Euler-Maruyama step kernel per mode, batched over
 columns, and the single-trajectory surface on top of it: ``step(mode,
 ...)`` and ``propagate(mode, ...)``),
@@ -47,9 +48,6 @@ from .model import (
     MAX_DEGREE,
     ModelSpec,
     OperatorPolynomial,
-    consistency_residual,
-    diffusion_operator,
-    drift_operator,
     girsanov_drift,
     make_measurement_model,
     make_random_hamiltonian,

@@ -11,8 +11,12 @@ into the Hamiltonian, ``H(x) = H - gamma x K``; the state evolution is
 then unitary along each path.  ``measurement`` takes arbitrary
 polynomial families ``H(x)`` (hermitian-valued) and ``B(x)`` and models
 a diffusive measurement record.  In both cases the drift is derived,
-never given, so the norm-consistency condition holds by construction;
-``consistency_residual`` re-checks it numerically anyway.
+never given, so the norm-consistency condition holds by construction.
+``ModelSpec`` refuses an ``H(x)`` with a non-hermitian coefficient, and
+caches, once per model, the per-power coefficients the steppers run:
+the drift ``D_j``, and the generator and flow in real Hermitian
+coordinates.  The ``consistency`` suite of ``ousse verify`` checks those
+cached coefficients against ``H`` and ``B``.
 """
 
 import functools
@@ -30,9 +34,6 @@ __all__ = [
     "ModelSpec",
     "make_random_hamiltonian",
     "make_measurement_model",
-    "drift_operator",
-    "diffusion_operator",
-    "consistency_residual",
     "girsanov_drift",
 ]
 
@@ -88,12 +89,6 @@ class OperatorPolynomial:
             out += xp * c
         return out
 
-    def at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of x values; returns shape ``(len(x), d, d)``."""
-        x = np.asarray(x, dtype=float)
-        powers = np.vander(x, len(self.coefficients), increasing=True)
-        return np.einsum("nk,kij->nij", powers, np.stack(self.coefficients))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -119,6 +114,8 @@ class ModelSpec:
             raise ValidationError(
                 f"H dimension {self.h_poly.dim} != B dimension {self.b_poly.dim}"
             )
+        for j, c in enumerate(self.h_poly.coefficients):
+            _require_hermitian(c, f"H coefficient {j}")
         if self.k is not None:
             object.__setattr__(self, "k", _freeze(self.k))
 
@@ -167,33 +164,7 @@ def make_measurement_model(h_poly, b_poly, gamma: float) -> ModelSpec:
         h_poly = OperatorPolynomial.constant(h_poly)
     if not isinstance(b_poly, OperatorPolynomial):
         b_poly = OperatorPolynomial.constant(b_poly)
-    for j, c in enumerate(h_poly.coefficients):
-        _require_hermitian(c, f"H coefficient {j}")
     return ModelSpec("measurement", float(gamma), h_poly, b_poly)
-
-
-def drift_operator(m: ModelSpec, x: float) -> np.ndarray:
-    """Total state drift ``-i H(x) - (1/2) B(x)^dag B(x)``."""
-    b = m.b_poly(x)
-    return -1j * m.h_poly(x) - 0.5 * (dagger(b) @ b)
-
-
-def diffusion_operator(m: ModelSpec, x: float) -> np.ndarray:
-    return m.b_poly(x)
-
-
-def consistency_residual(m: ModelSpec, x: float) -> float:
-    """Numerical check of the norm-consistency condition at one x.
-
-    Reconstructs ``A(x) = D(x) + gamma x B(x)`` from the derived drift
-    and returns the max-abs entry of ``A^dag + A - gamma x (B^dag + B)
-    + B^dag B``, which vanishes identically for constructor-built
-    models.
-    """
-    b = m.b_poly(x)
-    a = drift_operator(m, x) + (m.gamma * x) * b
-    resid = dagger(a) + a - (m.gamma * x) * (dagger(b) + b) + dagger(b) @ b
-    return float(np.max(np.abs(resid)))
 
 
 def girsanov_drift(m: ModelSpec, x: float, psi_hat) -> float:

@@ -18,6 +18,12 @@ def random_unit_state(rng, d):
     return v / np.linalg.norm(v)
 
 
+def drift(m, x):
+    """The state drift ``D(x) = -i H(x) - (1/2) B(x)^dag B(x)``, written out from H and B."""
+    b = m.b_poly(x)
+    return -1j * m.h_poly(x) - 0.5 * (b.conj().T @ b)
+
+
 def random_model(rng, d=None, kind=None, gamma=None):
     """Constructor-built model with random operators, degree <= 2."""
     d = d if d is not None else int(rng.integers(2, 5))

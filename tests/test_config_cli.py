@@ -512,8 +512,11 @@ def test_verify_report_fields(tmp_path):
     (check,) = report["checks"]
     assert sorted(check) == ["details", "entries", "name", "passed"]
     assert check["name"] == "consistency" and check["passed"] is True
-    assert check["details"] == {"points": 21, "x_range": [-5.0, 5.0]}
-    assert len(check["entries"]) == 21
+    assert check["details"] == {"tolerance": 1e-12}
+    # H(x) = -gamma x sigma_z and constant B: drift, trace and generator at powers 0 and 1,
+    # and the flow at power 0
+    assert [e["label"] for e in check["entries"]] == [
+        "drift_0", "drift_1", "trace_0", "trace_1", "generator_0", "generator_1", "flow_0"]
     for e in check["entries"]:
         assert sorted(e) == ["label", "passed", "statistic", "threshold", "time"]
         assert type(e["label"]) is str and type(e["passed"]) is bool
@@ -522,9 +525,14 @@ def test_verify_report_fields(tmp_path):
 
 def test_verify_reports_the_planted_defect(tmp_path, monkeypatch):
     eps = 1e-3
-    drift_operator = model.drift_operator
-    monkeypatch.setattr(model, "drift_operator",
-                        lambda m, x: drift_operator(m, x) + eps * np.eye(m.dim))
+    # the constant drift coefficient the vector steps run, shifted by eps I
+    drift_coefficients = model.drift_coefficients
+
+    def shifted(h, b):
+        d0, *rest = drift_coefficients(h, b)
+        return (d0 + eps * np.eye(len(d0)), *rest)
+
+    monkeypatch.setattr(model, "drift_coefficients", shifted)
     doc = dephasing_doc(n_traj=16, dt=1e-2, T=0.2)
     doc["checks"] = {"suites": ["consistency"]}
     cfg_path = write_config(tmp_path, doc)

@@ -7,8 +7,6 @@ from ousse import (
     SeedPolicy,
     TimeGrid,
     ValidationError,
-    diffusion_operator,
-    drift_operator,
     exact_commuting_solution,
     girsanov_drift,
     lindblad_apply,
@@ -27,7 +25,8 @@ from ousse import (
     step,
 )
 
-from conftest import MODE_IDS, MODES_AND_KINDS, random_hermitian, random_model, random_unit_state
+from conftest import (MODE_IDS, MODES_AND_KINDS, drift, random_hermitian, random_model,
+                      random_unit_state)
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -120,14 +119,14 @@ def test_step_nonlinear_near_collapse_is_a_divergence():
 
 def _euler_reference(mode, m, psi, x, dw, dt):
     """One Euler step written out from the model operators: (state, m value, term scale)."""
-    drift = drift_operator(m, x)
-    b = diffusion_operator(m, x)
+    d = drift(m, x)
+    b = m.b_poly(x)
     if mode == "linear":
-        terms = [psi, dt * (drift @ psi), dw * (b @ psi)]
+        terms = [psi, dt * (d @ psi), dw * (b @ psi)]
         return sum(terms), None, sum(np.max(np.abs(t)) for t in terms)
     mv = girsanov_drift(m, x, psi)
     bp = b @ psi
-    terms = [psi, dt * (drift @ psi), (0.5 * dt * mv) * bp, (-dt * mv * mv / 8.0) * psi,
+    terms = [psi, dt * (d @ psi), (0.5 * dt * mv) * bp, (-dt * mv * mv / 8.0) * psi,
              dw * bp, (-0.5 * dw * mv) * psi]
     out = sum(terms)
     nrm = np.linalg.norm(out)
@@ -149,7 +148,7 @@ def test_vector_steps_match_operator_euler_step():
             want, mv_want, scale = _euler_reference("nonlinear", m, psi, x, dw, dt)
             got, mv = step("nonlinear", psi, x, dw, dt, m)
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
-            s = diffusion_operator(m, x)
+            s = m.b_poly(x)
             assert abs(mv - mv_want) <= 1e-12 * np.max(np.abs(s + s.conj().T)) * m.dim
     assert b_degrees >= {0, 1, 2}
 
@@ -160,7 +159,7 @@ def _density_reference(mode, m, rho, x, dw, dt):
     Returns (matrix, term scale); ``sme`` subtracts the flow's trace times
     rho from the noise term and divides by the stepped trace.
     """
-    b = diffusion_operator(m, x)
+    b = m.b_poly(x)
     flow = b @ rho + rho @ b.conj().T
     if mode == "sme":
         flow = flow - np.trace(flow) * rho
@@ -616,11 +615,11 @@ def test_propagate_path_matches_reference_steps(mode, kind, seed):
                 want, mv, scale = _euler_reference(mode, m, path[k], x, dw[k], grid.dt)
             assert np.max(np.abs(path[k + 1] - want)) <= 1e-12 * scale
             if mode == "nonlinear":
-                s = diffusion_operator(m, x)
+                s = m.b_poly(x)
                 tol = 1e-12 * np.max(np.abs(s + s.conj().T)) * m.dim
                 assert abs(traj.m_record[k] - mv) <= tol
             if mode == "sme":
-                b = diffusion_operator(m, x)
+                b = m.b_poly(x)
                 flow = b @ path[k] + path[k] @ b.conj().T
                 tol = 1e-12 * np.max(np.abs(flow)) * m.dim
                 assert abs(traj.m_record[k] - np.trace(flow).real) <= tol

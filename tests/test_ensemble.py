@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import multiprocessing
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from ousse import (
 from ousse import ensemble, parallel
 from ousse.model import OperatorPolynomial
 
-from conftest import (MODE_IDS, MODES_AND_KINDS, random_hermitian, random_operator,
-                      random_unit_state)
+from conftest import (MODE_IDS, MODES_AND_KINDS, random_hermitian, random_model,
+                      random_operator, random_unit_state)
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -643,6 +644,28 @@ def test_mean_equation_entry_is_its_worst_element():
         assert (e.label, e.time) == ("generator", est.times[j])
         assert (e.statistic, e.threshold) == (resid.flat[w], thr.flat[w])
         assert e.passed == bool(np.all(resid <= thr))
+
+
+@pytest.mark.parametrize("name", ["_drift", "_gen", "_flow"])
+def test_consistency_fails_on_a_shift_in_any_stepped_coefficient(name):
+    # eps I planted in one power of a coefficient tuple the steppers hold, in the model's
+    # cached value; the suite reads 2 eps on the drift (D + D^dag) and eps on the others
+    rng = np.random.default_rng(23)
+    eps = 1e-2
+    suite = ensemble._SUITES["consistency"]
+    for kind in ("random_hamiltonian", "measurement"):
+        for gamma in (0.0, None, None, None):  # gamma = 0 keeps random_hamiltonian constant
+            m = random_model(rng, kind=kind, gamma=gamma)
+            coeffs = getattr(m, name)
+            assert suite(types.SimpleNamespace(model=m), None, None).passed
+            for j, c in enumerate(coeffs):
+                m.__dict__[name] = coeffs[:j] + (c + eps * np.eye(len(c)),) + coeffs[j + 1:]
+                report = suite(types.SimpleNamespace(model=m), None, None)
+                assert not report.passed
+                worst = max(e.statistic for e in report.entries)
+                assert worst == pytest.approx(2 * eps if name == "_drift" else eps, rel=1e-9)
+            m.__dict__[name] = coeffs
+
 
 def test_ou_covariance_check_runs():
     grid = TimeGrid(1e-2, 100)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from ousse import (
+    ModelSpec,
     ValidationError,
-    consistency_residual,
-    diffusion_operator,
-    drift_operator,
     girsanov_drift,
     make_measurement_model,
     make_random_hamiltonian,
@@ -13,7 +11,7 @@ from ousse import (
     sigma_x,
     sigma_z,
 )
-from ousse import model
+from ousse.ensemble import _consistency_report
 from ousse.model import MAX_DEGREE, OperatorPolynomial
 
 from conftest import random_hermitian, random_model, random_unit_state
@@ -25,9 +23,6 @@ def test_operator_polynomial():
     p = OperatorPolynomial((c0, c1))
     assert p.degree == 1 and p.dim == 2 and not p.is_constant
     assert np.allclose(p(2.0), c0 + 2.0 * c1)
-    vals = p.at(np.array([0.0, 1.0, -1.0]))
-    assert vals.shape == (3, 2, 2)
-    assert np.allclose(vals[2], c0 - c1)
     q = OperatorPolynomial.constant(sigma_z)
     assert q.is_constant and np.allclose(q(17.0), sigma_z)
 
@@ -73,39 +68,41 @@ def test_make_measurement_model():
 def test_drift_and_diffusion():
     m = make_random_hamiltonian(sigma_z, sigma_x, 1.0)
     x = 1.3
-    b = diffusion_operator(m, x)
-    assert np.allclose(b, -1j * sigma_x)
-    d = drift_operator(m, x)
+    assert np.allclose(m.b_poly(x), -1j * sigma_x)
+    # the drift the vector steps run, sum_j x^j D_j
+    d = sum(x**j * dj for j, dj in enumerate(m._drift))
     assert np.allclose(d, -1j * (sigma_z - x * sigma_x) - 0.5 * np.eye(2))
 
 
-def test_consistency_residual_sweep():
-    rng = np.random.default_rng(1)
-    xs = np.linspace(-5.0, 5.0, 21)
-    for _ in range(40):
-        m = random_model(rng)
-        for x in xs:
-            a = drift_operator(m, float(x)) + (m.gamma * x) * diffusion_operator(m, float(x))
-            tol = 1e-12 * (1.0 + float(np.max(np.abs(a))))
-            assert consistency_residual(m, float(x)) <= tol
+def test_model_spec_gates_h_hermitian():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    h = OperatorPolynomial((sigma_z, bad))
+    for kind in ("measurement", "random_hamiltonian"):
+        with pytest.raises(ValidationError, match="H coefficient 1 is not hermitian"):
+            ModelSpec(kind, 1.0, h, OperatorPolynomial((sigma_minus,)))
+    with pytest.raises(ValidationError, match="H coefficient 0 is not hermitian"):
+        ModelSpec("measurement", 1.0, OperatorPolynomial((bad,)), OperatorPolynomial((sigma_minus,)))
 
 
-def test_consistency_perturbation_hook(monkeypatch):
+def test_consistency_perturbation_hook():
     rng = np.random.default_rng(2)
     m = random_model(rng)
     eps = 1e-3
+    drift = m._drift
 
-    def shift_drift(shift):
-        monkeypatch.setattr(model, "drift_operator",
-                            lambda m, x: drift_operator(m, x) + shift * np.eye(m.dim))
+    def shift_drift(j, shift):
+        m.__dict__["_drift"] = drift[:j] + (drift[j] + shift * np.eye(m.dim),) + drift[j + 1:]
+        return _consistency_report(m)
 
-    for x in (-2.0, 0.0, 3.5):
+    for j in range(len(drift)):
         # a real shift of the drift breaks the condition by exactly 2 eps
-        shift_drift(eps)
-        assert consistency_residual(m, x) == pytest.approx(2 * eps, rel=1e-9)
-        # an imaginary shift is a Hamiltonian-like term and stays invisible
-        shift_drift(1j * eps)
-        assert consistency_residual(m, x) < 1e-12 * (1 + 10 * eps)
+        report = shift_drift(j, eps)
+        assert not report.passed
+        assert max(e.statistic for e in report.entries) == pytest.approx(2 * eps, rel=1e-9)
+        # an imaginary shift moves H by a multiple of I, a phase, and stays invisible
+        report = shift_drift(j, 1j * eps)
+        assert report.passed
+        assert max(e.statistic for e in report.entries) < 1e-12 * (1 + 10 * eps)
 
 
 def test_girsanov_drift():

@@ -9,7 +9,6 @@ from ousse import (
     ValidationError,
     build_liouvillian,
     dephasing_coherence,
-    drift_operator,
     lindblad_apply,
     make_measurement_model,
     propagate_lindblad,
@@ -24,7 +23,7 @@ from ousse.model import OperatorPolynomial
 from ousse.oracle import (drift_coefficients, flow_coefficients, generator_coefficients, hvec,
                           hvec_basis, hvec_coefficients, unhvec)
 
-from conftest import random_hermitian, random_model, random_operator
+from conftest import drift, random_hermitian, random_model, random_operator
 
 
 def _bits(a):
@@ -127,12 +126,12 @@ def test_generator_coefficients_match_lindblad_apply():
                     want = vec(lindblad_apply(m, x, unvec(v, d)))
                     assert np.max(np.abs(sum(terms) - want)) <= 1e-12 * scale
                     # the state drift D(x) = sum_j x^j D_j that the vector steps apply
-                    drift = sum(x**j * dj for j, dj in enumerate(dcoeffs))
+                    stepped = sum(x**j * dj for j, dj in enumerate(dcoeffs))
                     dscale = sum(abs(x) ** j * np.max(np.abs(dj)) for j, dj in enumerate(dcoeffs))
-                    assert np.max(np.abs(drift - drift_operator(m, x))) <= 1e-12 * dscale
+                    assert np.max(np.abs(stepped - drift(m, x))) <= 1e-12 * dscale
                 if len(coeffs) == 1:
                     assert np.array_equal(coeffs[0], build_liouvillian(h[0], b[0]).matrix)
-                    assert np.array_equal(dcoeffs[0], drift_operator(m, 0.0))
+                    assert np.array_equal(dcoeffs[0], drift(m, 0.0))
     assert degrees >= {(0, 0), (1, 0), (2, 2), (0, 2), (2, 0)}
 
 
