@@ -39,8 +39,14 @@ for t, mean, se in observable_series(est, sigma_z):
 print()
 
 print("change of measure: weighted reference runs vs physical runs")
-report = girsanov_crosscheck(m, grid, N_TRAJ, SeedPolicy(SEED + 1), sigma_z,
-                             [0.25, 0.5, 1.0], excited)
+# independent substreams, so the two estimates are independent
+seeds = SeedPolicy(SEED + 1)
+nodes = [grid.node(t) for t in (0.25, 0.5, 1.0)]
+reference = run_ensemble(m, grid, N_TRAJ, seeds.substream("girsanov-reference"), "linear",
+                         excited, output_nodes=nodes)
+physical = run_ensemble(m, grid, N_TRAJ, seeds.substream("girsanov-physical"), "nonlinear",
+                        excited, output_nodes=nodes)
+report = girsanov_crosscheck(reference, physical, sigma_z)
 for e in report.entries:
     print(f"  t = {e.time:4.2f}:  |difference| = {e.statistic:.4f}"
           f"  (allowed {e.threshold:.4f})  {'ok' if e.passed else 'MISMATCH'}")

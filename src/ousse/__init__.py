@@ -39,7 +39,6 @@ from .noise import (
     gaussians,
     ou_covariance,
     ou_path,
-    ou_path_physical,
     refine_increments,
     sample_ou_values,
     sample_wiener,

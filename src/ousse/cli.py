@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__, config
 from .config import ExperimentConfig, parse_config
 from .dynamics import _measure_modes
-from .ensemble import _SUITES, _covariance_nodes, observable_series, run_ensemble
+from .ensemble import (_SUITES, _covariance_nodes, _default_nodes, _girsanov_nodes,
+                       observable_series, run_ensemble)
 from .errors import ConfigError, DivergenceError, OusseError, ValidationError
 from .noise import SeedPolicy, TimeGrid, ou_covariance_estimates
 
@@ -70,11 +71,11 @@ def _series_header(dim: int, observables) -> list:
     return cols
 
 
-def _estimate(cfg: ExperimentConfig, mode: str, workers):
-    """The ensemble of ``cfg`` run in ``mode``."""
+def _estimate(cfg: ExperimentConfig, mode: str, workers, extra_nodes=()):
+    """The ensemble of ``cfg`` run in ``mode``, at its output nodes and ``extra_nodes``."""
+    nodes = list(cfg.output_nodes or _default_nodes(cfg.grid.n_steps)) + list(extra_nodes)
     return run_ensemble(cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed),
-                        mode, cfg.initial, output_nodes=(cfg.output_nodes or None),
-                        level=cfg.level, workers=workers)
+                        mode, cfg.initial, output_nodes=nodes, level=cfg.level, workers=workers)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
@@ -126,8 +127,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, workers=None) -> int:
         config.parse_config(cfg._document())
     except ConfigError as e:
         raise ValidationError(e.errors[0]) from None
+    # one reference ensemble for every suite; girsanov compares at its own times too
+    extra = _girsanov_nodes(cfg) if "girsanov" in cfg.checks.suites else ()
     reference = functools.cache(
-        functools.partial(_estimate, cfg, _measure_modes(cfg.initial)[0], workers))
+        functools.partial(_estimate, cfg, _measure_modes(cfg.initial)[0], workers, extra))
     reports = [_SUITES[suite](cfg, reference, workers) for suite in cfg.checks.suites]
 
     passed = all(r.passed for r in reports)

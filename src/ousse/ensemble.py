@@ -222,6 +222,11 @@ def _entry_abs2(q, d):
     return unhvec(np.concatenate([q[..., :d], re + im, np.zeros_like(re)], axis=-1), d).real
 
 
+def _default_nodes(n_steps: int) -> list:
+    """Every node up to 200 steps, then a uniform stride; the last node always."""
+    return sorted(set(range(0, n_steps + 1, max(1, math.ceil(n_steps / 200)))) | {n_steps})
+
+
 def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, mode: str,
                  initial, *, output_nodes=None, level: int = 0, workers=None) -> EnsembleEstimate:
     """Propagate ``n_traj`` trajectories and average at the output nodes.
@@ -243,11 +248,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     initial = _unit_state(initial, stepper.density, m.dim, cone=True)
 
     if output_nodes is None:
-        stride = max(1, math.ceil(grid.n_steps / 200))
-        nodes = list(range(0, grid.n_steps + 1, stride))
-        if nodes[-1] != grid.n_steps:
-            nodes.append(grid.n_steps)
-        output_nodes = nodes
+        output_nodes = _default_nodes(grid.n_steps)
     nodes = np.asarray(sorted(set(int(k) for k in output_nodes)), dtype=int)
     if nodes.size == 0:
         raise ValidationError("need at least one output node")
@@ -317,7 +318,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     # E[vec rho vec rho^H] = T E[c c^T] T^H, with vec rho = T c
     t = hvec_basis(d)
 
-    est = EnsembleEstimate(
+    return EnsembleEstimate(
         grid=grid_eff,
         level=level,
         mode=mode,
@@ -337,7 +338,6 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
         generator_mean_stderr=stderr(total["g2"], gmean),
         second_moments=(t @ (total["s"] / n) @ t.conj().T) if want_second else None,
     )
-    return est
 
 
 # ---------------------------------------------------------------------------
@@ -404,32 +404,33 @@ def martingale_check(est: EnsembleEstimate, c_disc: float = 5.0) -> CheckReport:
     return _report("martingale", entries, {"n_traj": est.n_used, "dt": dt, "c_disc": c_disc})
 
 
-def girsanov_crosscheck(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy,
-                        observable, t_list, initial, *, c_disc: float = 5.0,
-                        level: int = 0, workers=None) -> CheckReport:
+def girsanov_crosscheck(reference: EnsembleEstimate, physical: EnsembleEstimate, observable,
+                        *, c_disc: float = 5.0) -> CheckReport:
     """Weighted reference-measure vs physical-measure estimates of one mean.
 
-    The two sides, ``linear`` and ``nonlinear`` for a state vector or
-    ``density_linear`` and ``sme`` for a density matrix, use independent
-    substreams of ``seeds`` and are therefore independent estimators of
-    the same physical expectation; they must agree within
+    The two estimates, ``linear`` and ``nonlinear`` for a state vector or
+    ``density_linear`` and ``sme`` for a density matrix, on one grid and
+    from independent seeds, estimate the same physical expectation; at
+    every node of ``physical`` they must agree within
     ``3 sqrt(se_Q^2 + se_P^2) + c_disc dt``.
     """
-    o = _fit_state(observable, True, m.dim, "observable")
-    nodes = [grid.node(t) for t in t_list]
-    reference, physical = _measure_modes(initial)
-    est_q = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"), reference,
-                         initial, output_nodes=nodes, level=level, workers=workers)
-    est_p = run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"), physical,
-                         initial, output_nodes=nodes, level=level, workers=workers)
-    series_q = observable_series(est_q, o)
-    series_p = observable_series(est_p, o)
-    dt = est_q.grid.dt
-    entries = [_entry("weighted_vs_physical", t, abs(mq - mp), math.hypot(sq, sp), c_disc * dt)
-               for (t, mq, sq), (_, mp, sp) in zip(series_q, series_p)]
+    if (reference.mode, physical.mode) not in (("linear", "nonlinear"), ("density_linear", "sme")):
+        raise ValidationError(f"girsanov compares linear with nonlinear or density_linear with "
+                              f"sme; got {reference.mode!r} and {physical.mode!r}")
+    if (reference.grid, reference.level) != (physical.grid, physical.level):
+        raise ValidationError("the two estimates must share one grid and level")
+    rows = np.searchsorted(reference.node_indices, physical.node_indices)
+    if not np.array_equal(reference.node_indices.take(rows, mode="clip"), physical.node_indices):
+        raise ValidationError("the reference estimate lacks nodes of the physical one")
+    series_q = observable_series(reference, observable)
+    series_p = observable_series(physical, observable)
+    dt = physical.grid.dt
+    entries = [_entry("weighted_vs_physical", t, abs(series_q[j][1] - mp),
+                      math.hypot(series_q[j][2], sp), c_disc * dt)
+               for j, (t, mp, sp) in zip(rows, series_p)]
     return _report("girsanov", entries,
-                   {"n_traj": n_traj, "dt": dt, "c_disc": c_disc,
-                    "diverged": {"reference": est_q.diverged, "physical": est_p.diverged}})
+                   {"n_traj": physical.n_traj, "dt": dt, "c_disc": c_disc,
+                    "diverged": {"reference": reference.diverged, "physical": physical.diverged}})
 
 
 def _sd_commutator(a_abs: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -555,6 +556,21 @@ def _lindblad_oracle_report(cfg, est: EnsembleEstimate) -> CheckReport:
     return _report("lindblad_oracle", entries, {"dt": dt, "c_disc": cfg.checks.c_disc})
 
 
+def _girsanov_nodes(cfg) -> list:
+    return [cfg.grid.node(t) for t in cfg.checks.girsanov_times]
+
+
+def _girsanov_report(cfg, reference: EnsembleEstimate, workers) -> CheckReport:
+    """``reference`` against the physical-measure run of ``cfg`` at the girsanov times."""
+    seeds = SeedPolicy(cfg.master_seed).substream("verify-girsanov").substream("girsanov-physical")
+    physical = run_ensemble(cfg.model, cfg.grid, cfg.n_traj, seeds, _measure_modes(cfg.initial)[1],
+                            cfg.initial, output_nodes=_girsanov_nodes(cfg), level=cfg.level,
+                            workers=workers)
+    # the first observable, or else the projector on the first basis state
+    observable = cfg.observables[0][1] if cfg.observables else np.diag(np.eye(cfg.model.dim)[0])
+    return girsanov_crosscheck(reference, physical, observable, c_disc=cfg.checks.c_disc)
+
+
 # Suite name -> runner (ExperimentConfig, reference(), workers) -> CheckReport, in the
 # default battery's order; reference() is the config's reference-measure ensemble.  The
 # lambdas look the checks up when they run, so wrappers bound to this module's names
@@ -568,12 +584,7 @@ _SUITES = {
         cfg.checks.covariance_n_paths, _covariance_nodes(cfg.grid), workers=workers),
     "mean_equation": lambda cfg, reference, workers: mean_equation_residual(
         cfg.model, reference(), c_fd=cfg.checks.c_fd),
-    # the first observable, or else the projector on the first basis state
-    "girsanov": lambda cfg, reference, workers: girsanov_crosscheck(
-        cfg.model, cfg.grid, cfg.n_traj, SeedPolicy(cfg.master_seed).substream("verify-girsanov"),
-        cfg.observables[0][1] if cfg.observables else np.diag(np.eye(cfg.model.dim)[0]),
-        list(cfg.checks.girsanov_times), cfg.initial, c_disc=cfg.checks.c_disc,
-        level=cfg.level, workers=workers),
+    "girsanov": lambda cfg, reference, workers: _girsanov_report(cfg, reference(), workers),
     "lindblad_oracle": lambda cfg, reference, workers: _lindblad_oracle_report(cfg, reference()),
 }
 

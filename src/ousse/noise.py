@@ -45,7 +45,6 @@ __all__ = [
     "sample_wiener",
     "refine_increments",
     "ou_path",
-    "ou_path_physical",
     "ou_covariance",
     "ou_covariance_estimates",
     "sample_ou_values",
@@ -257,8 +256,15 @@ def _ou_next(x, dw, decay: float, drift=None):
     return decay * x + dw if drift is None else decay * x + drift + dw
 
 
-def _ou_steps(dw, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
-    """X at every node of ``grid`` from ``X[0] = 0``, driven by ``dw`` and the drift ``m``."""
+def ou_path(dw: np.ndarray, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
+    """OU path at every node of ``grid``, driven by ``dw`` and, if given, the drift ``m``.
+
+    The Euler rule of the module docstring, applied literally in that
+    arithmetic form (replay contract), with ``m`` held at the step starts
+    (physical measure).  ``dw`` must contain exactly ``n_steps``
+    increments.  An all-zero ``m`` turns a ``-0.0`` of the drift-free
+    path into ``+0.0``.
+    """
     gamma = _check_gamma(gamma, grid.dt)
     dw = _check_increments(dw, grid)
     if m is None:
@@ -277,26 +283,6 @@ def _ou_steps(dw, gamma: float, grid: TimeGrid, m=None) -> np.ndarray:
     for k, dwk in enumerate(dw.tolist()):
         acc = x[k + 1] = _ou_next(acc, dwk, decay, drift[k])
     return x
-
-
-def ou_path(dw: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
-    """OU path driven by ``dw`` on ``grid``; returns values at all nodes.
-
-    ``X[0] = 0`` and ``X[k+1] = (1 - gamma dt) X[k] + dW[k]``; the
-    update is applied literally in this arithmetic form (replay
-    contract).  ``dw`` must contain exactly ``n_steps`` increments.
-    """
-    return _ou_steps(dw, gamma, grid)
-
-
-def ou_path_physical(dw: np.ndarray, m: np.ndarray, gamma: float, grid: TimeGrid) -> np.ndarray:
-    """OU path with an extra drift, ``X[k+1] = (1-gamma dt) X[k] + m[k] dt + dW[k]``.
-
-    ``m`` holds the drift evaluated at the step starts.  With ``m``
-    identically zero this equals :func:`ou_path` up to the sign of zero:
-    the added ``0 dt`` turns a ``-0.0`` into ``+0.0``.
-    """
-    return _ou_steps(dw, gamma, grid, m)
 
 
 def ou_covariance(t, s, gamma: float):

@@ -166,8 +166,13 @@ def test_criterion_07_girsanov_crosscheck():
     with budget(120.0) as b:
         m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
         grid = TimeGrid(1e-3, 1000)
-        report = girsanov_crosscheck(m, grid, 10**4, SeedPolicy(707), sigma_z,
-                                     [0.25, 0.5, 1.0], E0, c_disc=5.0)
+        seeds = SeedPolicy(707)
+        nodes = [grid.node(t) for t in (0.25, 0.5, 1.0)]
+        reference = run_ensemble(m, grid, 10**4, seeds.substream("girsanov-reference"),
+                                 "linear", E0, output_nodes=nodes)
+        physical = run_ensemble(m, grid, 10**4, seeds.substream("girsanov-physical"),
+                                "nonlinear", E0, output_nodes=nodes)
+        report = girsanov_crosscheck(reference, physical, sigma_z, c_disc=5.0)
         assert report.passed
         for e in report.entries:
             assert e.statistic <= e.threshold

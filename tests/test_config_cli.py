@@ -501,6 +501,50 @@ def test_verify_stock_battery_passes(tmp_path):
         assert all(e["statistic"] <= e["threshold"] for e in c["entries"])
 
 
+RHO_PLUS = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("run_extra,modes", [
+    ({}, ["linear", "nonlinear"]),
+    ({"mode": "density_linear", "initial": RHO_PLUS}, ["density_linear", "sme"]),
+], ids=["vector", "density"])
+def test_verify_runs_one_reference_ensemble(tmp_path, monkeypatch, run_extra, modes):
+    # every reference-measure suite and girsanov's weighted side read one ensemble;
+    # girsanov adds only its physical side
+    calls = []
+    real = ensemble.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", counted)
+    monkeypatch.setattr(ensemble, "run_ensemble", counted)
+    doc = dephasing_doc(n_traj=16, T=0.2, **run_extra)
+    doc["checks"] = {"covariance_n_paths": 100}
+    out = tmp_path / "out"
+    main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    names = [c["name"] for c in json.loads((out / "report.json").read_text())["checks"]]
+    assert names == ["consistency", "martingale", "ou_covariance", "mean_equation", "girsanov"]
+    assert calls == modes
+
+
+def test_verify_reference_records_the_girsanov_times(tmp_path):
+    # 401 steps take a stride of 3, so the default girsanov node 200 (T/2) is off it;
+    # the reference records it only when girsanov runs, and martingale then gains it
+    default = sorted(set(range(0, 402, 3)) | {401})
+    for suites, nodes in ((["martingale"], default),
+                          (["martingale", "girsanov"], sorted(default + [200]))):
+        doc = dephasing_doc(n_traj=16, dt=5e-3, T=2.005)
+        doc["checks"] = {"suites": suites}
+        out = tmp_path / "-".join(suites)
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert [e["time"] for e in checks[0]["entries"]] == [k * 5e-3 for k in nodes]
+        if "girsanov" in suites:
+            assert [e["time"] for e in checks[1]["entries"]] == [200 * 5e-3, 401 * 5e-3]
+
+
 def test_verify_report_fields(tmp_path):
     doc = dephasing_doc(n_traj=16, dt=1e-2, T=0.2)
     doc["checks"] = {"suites": ["consistency"]}

@@ -15,7 +15,6 @@ from ousse import (
     matrix_exp,
     outer,
     ou_path,
-    ou_path_physical,
     propagate,
     run_ensemble,
     sample_wiener,
@@ -416,7 +415,7 @@ def test_propagate_physical_mode_x_replay():
     traj = propagate("nonlinear", E0, dw, m, grid)
     assert traj.measure == "physical"
     assert traj.m_record.shape == (80,)
-    assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, 1.0, grid))
+    assert np.array_equal(traj.X, ou_path(dw, 1.0, grid, traj.m_record))
     assert np.any(traj.m_record != 0.0)
     # weights of a normalized run are identically one
     assert np.allclose(traj.weights, 1.0, atol=1e-12)
@@ -434,7 +433,7 @@ def test_propagate_density_mode_x_replay(mode):
     traj = propagate(mode, outer(PLUS), dw, m, grid)
     if mode == "sme":
         assert np.any(traj.m_record != 0.0)
-        assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, 0.9, grid))
+        assert np.array_equal(traj.X, ou_path(dw, 0.9, grid, traj.m_record))
     else:
         assert np.array_equal(traj.X, ou_path(dw, 0.9, grid))
 
@@ -479,12 +478,12 @@ def test_increments_pass_one_gate(dw, problem):
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     for call in (lambda: propagate("linear", PLUS, dw, m, grid),
                  lambda: ou_path(dw, 1.0, grid),
-                 lambda: ou_path_physical(dw, np.zeros(10), 1.0, grid)):
+                 lambda: ou_path(dw, 1.0, grid, np.zeros(10))):
         with pytest.raises(ValidationError, match=problem):
             call()
     # the drift record of a physical-measure path passes the same rules
     with pytest.raises(ValidationError, match=problem.replace("increments", "drift values")):
-        ou_path_physical(np.zeros(10), dw, 1.0, grid)
+        ou_path(np.zeros(10), 1.0, grid, dw)
 
 
 def test_propagate_rejects_a_noise_of_neither_form():
@@ -624,7 +623,7 @@ def test_propagate_path_matches_reference_steps(mode, kind, seed):
                 tol = 1e-12 * np.max(np.abs(flow)) * m.dim
                 assert abs(traj.m_record[k] - np.trace(flow).real) <= tol
         if mode in ("nonlinear", "sme"):
-            assert np.array_equal(traj.X, ou_path_physical(dw, traj.m_record, m.gamma, grid))
+            assert np.array_equal(traj.X, ou_path(dw, m.gamma, grid, traj.m_record))
         else:
             assert np.array_equal(traj.X, ou_path(dw, m.gamma, grid))
     if kind != "random_hamiltonian":

@@ -569,13 +569,24 @@ def test_martingale_passes_on_linear_run():
     assert report.entries[0].statistic == 0.0  # weight starts at exactly 1
 
 
+def girsanov_legs(m, grid, n_traj, seeds, t_list, initial, **kwargs):
+    """The reference and physical estimates at ``t_list``, on independent substreams."""
+    nodes = [grid.node(t) for t in t_list]
+    vector = np.ndim(initial) == 1
+    return (run_ensemble(m, grid, n_traj, seeds.substream("girsanov-reference"),
+                         "linear" if vector else "density_linear", initial,
+                         output_nodes=nodes, **kwargs),
+            run_ensemble(m, grid, n_traj, seeds.substream("girsanov-physical"),
+                         "nonlinear" if vector else "sme", initial, output_nodes=nodes, **kwargs))
+
+
 def test_girsanov_identity_observable():
     # a density initial runs density_linear against sme, a state vector linear against nonlinear
     grid = TimeGrid(1e-3, 400)
     m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
     for initial in (E0, outer(E0)):
-        report = girsanov_crosscheck(m, grid, 800, SeedPolicy(19), np.eye(2),
-                                     [0.2, 0.4], initial)
+        report = girsanov_crosscheck(*girsanov_legs(m, grid, 800, SeedPolicy(19), [0.2, 0.4],
+                                                    initial), np.eye(2))
         assert report.passed
         for e in report.entries:
             assert e.statistic <= e.threshold
@@ -585,9 +596,34 @@ def test_girsanov_degenerate_for_hamiltonian_noise():
     # B = -iK leaves the measures equal; both sides see weight one
     grid = TimeGrid(1e-3, 200)
     for initial in (PLUS, outer(PLUS)):
-        report = girsanov_crosscheck(dephasing_model(), grid, 100, SeedPolicy(20),
-                                     sigma_x, [0.1, 0.2], initial)
+        report = girsanov_crosscheck(*girsanov_legs(dephasing_model(), grid, 100, SeedPolicy(20),
+                                                    [0.1, 0.2], initial), sigma_x)
         assert report.passed
+
+
+def test_girsanov_rejects_estimates_it_cannot_compare():
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
+    grid = TimeGrid(1e-2, 20)
+    reference, physical = girsanov_legs(m, grid, 8, SeedPolicy(25), [0.1, 0.2], E0)
+    density_physical = girsanov_legs(m, grid, 8, SeedPolicy(25), [0.1, 0.2], outer(E0))[1]
+    with pytest.raises(ValidationError, match="linear with nonlinear"):
+        girsanov_crosscheck(reference, density_physical, sigma_z)
+    with pytest.raises(ValidationError, match="linear with nonlinear"):
+        girsanov_crosscheck(physical, reference, sigma_z)
+    # another grid, another level, and another level on the same refined grid
+    for other in (girsanov_legs(m, TimeGrid(1e-2, 40), 8, SeedPolicy(25), [0.1, 0.2], E0)[1],
+                  girsanov_legs(m, grid, 8, SeedPolicy(25), [0.1, 0.2], E0, level=1)[1],
+                  girsanov_legs(m, TimeGrid(2e-2, 10), 8, SeedPolicy(25), [0.1, 0.2], E0,
+                                level=1)[1]):
+        with pytest.raises(ValidationError, match="one grid and level"):
+            girsanov_crosscheck(reference, other, sigma_z)
+    off_node = girsanov_legs(m, grid, 8, SeedPolicy(25), [0.1, 0.15], E0)[1]
+    with pytest.raises(ValidationError, match="lacks nodes"):
+        girsanov_crosscheck(reference, off_node, sigma_z)
+    # the reference may hold more nodes than the physical estimate; entries follow the latter
+    report = girsanov_crosscheck(girsanov_legs(m, grid, 8, SeedPolicy(25), [0.1, 0.15, 0.2], E0)[0],
+                                 physical, sigma_z)
+    assert [e.time for e in report.entries] == [0.1, 0.2]
 
 
 def test_mean_equation_zero_model():

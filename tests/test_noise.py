@@ -12,7 +12,6 @@ from ousse import (
     gaussians,
     ou_covariance,
     ou_path,
-    ou_path_physical,
     refine_increments,
     sample_ou_values,
     sample_wiener,
@@ -177,13 +176,13 @@ def test_ou_path_physical():
     grid = TimeGrid(1e-2, 100)
     dw = sample_wiener(grid, SeedPolicy(21).stream(0))
     zero_m = np.zeros(grid.n_steps)
-    assert np.array_equal(ou_path_physical(dw, zero_m, 0.8, grid), ou_path(dw, 0.8, grid))
+    assert np.array_equal(ou_path(dw, 0.8, grid, zero_m), ou_path(dw, 0.8, grid))
     # pure drift: dW=0, gamma=0, m=c integrates to c*t
     c = 1.5
-    x = ou_path_physical(np.zeros(100), np.full(100, c), 0.0, grid)
+    x = ou_path(np.zeros(100), 0.0, grid, np.full(100, c))
     assert np.allclose(x, c * grid.times)
     # gamma=1, m=1, dW=0 approximates 1 - e^{-t}
-    x = ou_path_physical(np.zeros(1000), np.ones(1000), 1.0, TimeGrid(1e-3, 1000))
+    x = ou_path(np.zeros(1000), 1.0, TimeGrid(1e-3, 1000), np.ones(1000))
     assert abs(x[-1] - (1.0 - math.exp(-1.0))) < 5e-3
 
 
@@ -226,14 +225,14 @@ def test_ou_paths_are_bitwise_the_written_out_update():
         assert x.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(x), np.signbit(want))
         for drift in (m, np.zeros_like(m)):
-            xp = ou_path_physical(dw, drift, gamma, grid)
+            xp = ou_path(dw, gamma, grid, drift)
             want = _loop_ou_physical(dw, drift, gamma, grid.dt)
             assert xp.tobytes() == want.tobytes()
             assert np.array_equal(np.signbit(xp), np.signbit(want))
     # the drift-free path keeps its signed zeros; a path with a zero drift does not
     grid, gamma, dw, _ = cases[0]
     assert np.signbit(ou_path(dw, gamma, grid)).tolist() == [False, True, True, True]
-    assert np.signbit(ou_path_physical(dw, np.zeros(3), gamma, grid)).tolist() == [
+    assert np.signbit(ou_path(dw, gamma, grid, np.zeros(3))).tolist() == [
         False, True, False, False]
 
 
