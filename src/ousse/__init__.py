@@ -54,7 +54,6 @@ from .model import (
 from .dynamics import (
     MAX_STEPS,
     MODES,
-    DensityTrajectory,
     Trajectory,
     exact_commuting_solution,
     lindblad_apply,
@@ -73,7 +72,6 @@ from .ensemble import (
     run_ensemble,
 )
 from .oracle import (
-    Liouvillian,
     build_liouvillian,
     dephasing_coherence,
     hvec,

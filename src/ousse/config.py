@@ -3,9 +3,9 @@
 A document has five blocks: ``model`` (operator polynomials as nested
 arrays of [re, im] pairs), ``grid`` (dt and horizon T), ``run`` (mode,
 trajectory count, master seed, output times, observables, initial
-state), ``checks`` (which verification suites and their tolerances)
-and ``output`` (target directory).  A block or field outside the schema
-is an error.  Parsing collects every problem it can find, not just the
+state), ``checks`` (which verification suites run, and the covariance
+suite's path count) and ``output`` (target directory).  A block or
+field outside the schema is an error.  Parsing collects every problem it can find, not just the
 first, and reports each with the dotted path of the offending field.
 
 The canonical form materializes all defaults, sorts keys, and writes
@@ -63,16 +63,16 @@ def _unknown_fields(ctx, block, name, extra=()):
             ctx.err(f"{name}.{k}", "unknown field")
 
 
-def _get_times(ctx, block, key, path, grid):
-    """The non-empty list of times at ``block[key]``, each a node of ``grid``, or ().
+def _get_times(ctx, rblock, grid):
+    """The non-empty list ``run.output_times``, each a node of ``grid``, or ().
 
     An entry off the grid is an error at its index.  Without a grid (its
     error is already recorded) only the entries' types are checked.
     """
-    if key not in block:
+    if "output_times" not in rblock:
         return ()
-    at = f"{path}.{key}"
-    times = block[key]
+    at = "run.output_times"
+    times = rblock["output_times"]
     if not isinstance(times, list) or not times:
         ctx.err(at, "expected a non-empty list of times")
         return ()
@@ -178,10 +178,7 @@ def _parse_poly(ctx, block, key, path, dim, hermitian):
 @dataclass(frozen=True)
 class CheckConfig:
     suites: tuple
-    c_disc: float = 5.0
-    c_fd: float = 5.0
     covariance_n_paths: int = 10000
-    girsanov_times: tuple = ()
 
 
 # the fields each block may hold; a model also holds the two operators of its kind
@@ -350,8 +347,7 @@ def parse_config(source) -> ExperimentConfig:
         if level is not None and level > _MAX_LEVEL:
             ctx.err("run.level", f"refinement level is capped at {_MAX_LEVEL}, got {level}")
             level = 0
-        output_nodes = tuple(sorted({grid.node(t) for t in
-                                     _get_times(ctx, rblock, "output_times", "run", grid)}))
+        output_nodes = tuple(sorted({grid.node(t) for t in _get_times(ctx, rblock, grid)}))
         if "observables" in rblock:
             obs = rblock["observables"]
             if not isinstance(obs, dict):
@@ -381,7 +377,6 @@ def parse_config(source) -> ExperimentConfig:
 
     # -- checks
     cblock = doc.get("checks", {})
-    checks = None
     if not isinstance(cblock, dict):
         ctx.err("checks", "expected an object")
         cblock = {}
@@ -397,15 +392,8 @@ def parse_config(source) -> ExperimentConfig:
                 ctx.err("checks.suites", "expected at least one suite")
             for problem in _suite_problems(suites, model):
                 ctx.err("checks.suites", problem)
-    c_disc = _get_num(ctx, cblock, "c_disc", "checks", default=CheckConfig.c_disc)
-    c_fd = _get_num(ctx, cblock, "c_fd", "checks", default=CheckConfig.c_fd)
     cov_n = _get_int(ctx, cblock, "covariance_n_paths", "checks",
                      default=CheckConfig.covariance_n_paths, minimum=2)
-    if c_disc is not None and c_disc <= 0:
-        ctx.err("checks.c_disc", f"must be > 0, got {c_disc}")
-    if c_fd is not None and c_fd <= 0:
-        ctx.err("checks.c_fd", f"must be > 0, got {c_fd}")
-    g_times = _get_times(ctx, cblock, "girsanov_times", "checks", grid)
 
     # -- output
     oblock = doc.get("output", {})
@@ -424,9 +412,7 @@ def parse_config(source) -> ExperimentConfig:
 
     if suites is None:
         suites = [s for s in KNOWN_SUITES if not _suite_problems((s,), model)]
-    if not g_times:
-        g_times = ((grid.n_steps // 2) * grid.dt, grid.horizon)
-    checks = CheckConfig(tuple(suites), c_disc, c_fd, cov_n, g_times)
+    checks = CheckConfig(tuple(suites), cov_n)
 
     return ExperimentConfig(
         model=model, grid=grid, mode=mode, n_traj=n_traj, master_seed=master_seed,

@@ -24,7 +24,7 @@ throughout; accuracy is checked by convergence-order tests, not by
 higher-order steppers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .oracle import hvec, unhvec
 
 __all__ = [
     "Trajectory",
-    "DensityTrajectory",
     "step",
     "lindblad_apply",
     "propagate",
@@ -55,24 +54,11 @@ class Trajectory:
     """One realized state path with its noise and likelihood weights."""
 
     grid: TimeGrid
-    states: np.ndarray          # (n_steps+1, d) complex
-    weights: np.ndarray         # (n_steps+1,) squared norms
+    states: np.ndarray          # (n_steps+1, d), or (n_steps+1, d, d) in the density modes
+    weights: np.ndarray         # (n_steps+1,) squared norms or traces
     X: np.ndarray               # (n_steps+1,) OU values
-    m_record: np.ndarray        # (n_steps,) drift record; empty outside nonlinear mode
+    m_record: np.ndarray        # (n_steps,) drift record; empty outside the physical modes
     measure: str                # "Q" | "physical"
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-
-@dataclass(frozen=True)
-class DensityTrajectory:
-    grid: TimeGrid
-    matrices: np.ndarray        # (n_steps+1, d, d) complex
-    X: np.ndarray
-    measure: str
-    m_record: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def times(self) -> np.ndarray:
@@ -310,11 +296,11 @@ def propagate(mode: str, initial, noise, m: ModelSpec, grid: TimeGrid):
                 k = lo + failure[0]
                 raise DivergenceError(f"{failure[1]} at step {k} (t = {k * dt:.6g})", step=k)
 
-    measure = "physical" if physical else "Q"
     if stepper.density:
-        return DensityTrajectory(grid, unhvec(rows, m.dim), x_out, measure, m_record)
-    weights = np.einsum("ki,ki->k", rows, np.conj(rows)).real
-    return Trajectory(grid, rows, weights, x_out, m_record, measure)
+        states, weights = unhvec(rows, m.dim), _trace(rows.T, m.dim)
+    else:
+        states, weights = rows, np.einsum("ki,ki->k", rows, np.conj(rows)).real
+    return Trajectory(grid, states, weights, x_out, m_record, "physical" if physical else "Q")
 
 
 def exact_commuting_solution(psi0, h, k, x_t: float, t: float):

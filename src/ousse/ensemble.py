@@ -29,7 +29,9 @@ martingale property, so no weight normalization is applied anywhere.
 
 The checks section owns the battery of ``ousse verify``: its suite table
 ``_SUITES``, the one pass rule ``_entry`` (``statistic <= 3 stderr +
-allowance``) and the one report rule ``_report``.
+allowance``), the one report rule ``_report`` and the allowances:
+``_C_DISC dt`` for a discretization error, ``_C_FD dt`` for a finite
+difference.
 """
 
 import logging
@@ -42,8 +44,8 @@ from .dynamics import PHYSICAL_MODES, _diverged, _measure_modes, _poly_apply, _S
 from .errors import DivergenceError, ValidationError
 from .linalg import _fit_state, _unit_state, dagger
 from .model import ModelSpec
-from .noise import (_CHUNK_ROWS, SeedPolicy, TimeGrid, _check_gamma, ou_covariance_estimates,
-                    sample_wiener_rows)
+from .noise import (_CHUNK_ROWS, SeedPolicy, TimeGrid, _check_gamma, _index,
+                    ou_covariance_estimates, sample_wiener_rows)
 from .oracle import (_upper, build_liouvillian, hvec, hvec_basis, propagate_lindblad, unhvec,
                      vec)
 from .parallel import map_chunks, worker_count
@@ -64,6 +66,8 @@ _log = logging.getLogger("ousse")
 
 _CHUNK_BUDGET = 5 * 10**7        # max floats of increment storage per chunk
 _SECOND_MOMENT_MAX_DIM = 8       # full E[vv^H] matrices kept up to this dimension
+_C_DISC = 5.0                    # discretization allowance, in units of dt
+_C_FD = 5.0                      # finite-difference allowance, in units of dt
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +246,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
     not grow with ``n_traj``.
     """
     stepper = _Stepper(m, mode)
+    n_traj = _index(n_traj, "n_traj")
     if n_traj < 2:
         raise ValidationError(f"need at least 2 trajectories, got {n_traj}")
     _check_gamma(m.gamma, grid.dt)
@@ -249,7 +254,7 @@ def run_ensemble(m: ModelSpec, grid: TimeGrid, n_traj: int, seeds: SeedPolicy, m
 
     if output_nodes is None:
         output_nodes = _default_nodes(grid.n_steps)
-    nodes = np.asarray(sorted(set(int(k) for k in output_nodes)), dtype=int)
+    nodes = np.asarray(sorted({_index(k, "output node") for k in output_nodes}), dtype=int)
     if nodes.size == 0:
         raise ValidationError("need at least one output node")
     if nodes[0] < 0 or nodes[-1] > grid.n_steps:
@@ -390,29 +395,29 @@ def observable_series(est: EnsembleEstimate, observable):
     return out
 
 
-def martingale_check(est: EnsembleEstimate, c_disc: float = 5.0) -> CheckReport:
+def martingale_check(est: EnsembleEstimate) -> CheckReport:
     """Mean squared norm against 1 at every output node.
 
-    Pass rule per node: ``|mean - 1| <= 3 stderr + c_disc * dt`` with
+    Pass rule per node: ``|mean - 1| <= 3 stderr + _C_DISC * dt`` with
     dt the step actually integrated.
     """
     _require_reference(est, "the martingale statistic")
     dt = est.grid.dt
     entries = [_entry("mean_weight", float(t), abs(float(est.mean_weight[j]) - 1.0),
-                      float(est.mean_weight_stderr[j]), c_disc * dt)
+                      float(est.mean_weight_stderr[j]), _C_DISC * dt)
                for j, t in enumerate(est.times)]
-    return _report("martingale", entries, {"n_traj": est.n_used, "dt": dt, "c_disc": c_disc})
+    return _report("martingale", entries, {"n_traj": est.n_used, "dt": dt, "c_disc": _C_DISC})
 
 
-def girsanov_crosscheck(reference: EnsembleEstimate, physical: EnsembleEstimate, observable,
-                        *, c_disc: float = 5.0) -> CheckReport:
+def girsanov_crosscheck(reference: EnsembleEstimate, physical: EnsembleEstimate,
+                        observable) -> CheckReport:
     """Weighted reference-measure vs physical-measure estimates of one mean.
 
     The two estimates, ``linear`` and ``nonlinear`` for a state vector or
     ``density_linear`` and ``sme`` for a density matrix, on one grid and
     from independent seeds, estimate the same physical expectation; at
     every node of ``physical`` they must agree within
-    ``3 sqrt(se_Q^2 + se_P^2) + c_disc dt``.
+    ``3 sqrt(se_Q^2 + se_P^2) + _C_DISC dt``.
     """
     if (reference.mode, physical.mode) not in (("linear", "nonlinear"), ("density_linear", "sme")):
         raise ValidationError(f"girsanov compares linear with nonlinear or density_linear with "
@@ -426,10 +431,10 @@ def girsanov_crosscheck(reference: EnsembleEstimate, physical: EnsembleEstimate,
     series_p = observable_series(physical, observable)
     dt = physical.grid.dt
     entries = [_entry("weighted_vs_physical", t, abs(series_q[j][1] - mp),
-                      math.hypot(series_q[j][2], sp), c_disc * dt)
+                      math.hypot(series_q[j][2], sp), _C_DISC * dt)
                for j, (t, mp, sp) in zip(rows, series_p)]
     return _report("girsanov", entries,
-                   {"n_traj": physical.n_traj, "dt": dt, "c_disc": c_disc,
+                   {"n_traj": physical.n_traj, "dt": dt, "c_disc": _C_DISC,
                     "diverged": {"reference": reference.diverged, "physical": physical.diverged}})
 
 
@@ -438,7 +443,7 @@ def _sd_commutator(a_abs: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return a_abs @ sd + sd @ a_abs
 
 
-def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.0) -> CheckReport:
+def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate) -> CheckReport:
     """Finite-difference check of the mean-state equation on an estimate.
 
     At each interior output node the central difference of ``eta`` is
@@ -448,7 +453,7 @@ def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.
     stored memory term, and every kind is checked against the stored
     ensemble mean of the generator values (the non-closed general
     equation).  Pass rule per node and route: every residual entry
-    within ``3 * propagated stderr + c_fd * dt``, with the stderr
+    within ``3 * propagated stderr + _C_FD * dt``, with the stderr
     propagated entrywise by triangle inequality (conservative); the
     entry closest to (or past) its own allowance is reported.
     """
@@ -486,9 +491,9 @@ def mean_equation_residual(m: ModelSpec, est: EnsembleEstimate, c_fd: float = 5.
                 rhs = est.generator_mean[j]
                 rhs_sd = est.generator_mean_stderr[j]
             resid = np.abs(fd - rhs)
-            entries.append(_entry(route, t, resid, fd_sd + rhs_sd, c_fd * dt))
+            entries.append(_entry(route, t, resid, fd_sd + rhs_sd, _C_FD * dt))
             aggregates[route].append(float(resid.max()))
-    details = {"dt": dt, "c_fd": c_fd,
+    details = {"dt": dt, "c_fd": _C_FD,
                "mean_residual": {r: float(np.mean(v)) for r, v in aggregates.items() if v}}
     return _report("mean_equation", entries, details)
 
@@ -551,24 +556,21 @@ def _lindblad_oracle_report(cfg, est: EnsembleEstimate) -> CheckReport:
     dt = est.grid.dt
     entries = [_entry("eta_vs_exponential", float(t),
                       float(np.max(np.abs(est.eta[j] - propagate_lindblad(liou, rho0, float(t))))),
-                      float(est.eta_stderr[j].max()), cfg.checks.c_disc * dt)
+                      float(est.eta_stderr[j].max()), _C_DISC * dt)
                for j, t in enumerate(est.times)]
-    return _report("lindblad_oracle", entries, {"dt": dt, "c_disc": cfg.checks.c_disc})
-
-
-def _girsanov_nodes(cfg) -> list:
-    return [cfg.grid.node(t) for t in cfg.checks.girsanov_times]
+    return _report("lindblad_oracle", entries, {"dt": dt, "c_disc": _C_DISC})
 
 
 def _girsanov_report(cfg, reference: EnsembleEstimate, workers) -> CheckReport:
-    """``reference`` against the physical-measure run of ``cfg`` at the girsanov times."""
+    """``reference`` against the physical-measure run of ``cfg`` at its middle and last node."""
+    nodes = reference.node_indices
     seeds = SeedPolicy(cfg.master_seed).substream("verify-girsanov").substream("girsanov-physical")
     physical = run_ensemble(cfg.model, cfg.grid, cfg.n_traj, seeds, _measure_modes(cfg.initial)[1],
-                            cfg.initial, output_nodes=_girsanov_nodes(cfg), level=cfg.level,
-                            workers=workers)
+                            cfg.initial, output_nodes=[nodes[(nodes.size - 1) // 2], nodes[-1]],
+                            level=cfg.level, workers=workers)
     # the first observable, or else the projector on the first basis state
     observable = cfg.observables[0][1] if cfg.observables else np.diag(np.eye(cfg.model.dim)[0])
-    return girsanov_crosscheck(reference, physical, observable, c_disc=cfg.checks.c_disc)
+    return girsanov_crosscheck(reference, physical, observable)
 
 
 # Suite name -> runner (ExperimentConfig, reference(), workers) -> CheckReport, in the
@@ -577,13 +579,11 @@ def _girsanov_report(cfg, reference: EnsembleEstimate, workers) -> CheckReport:
 # (perfbench's tracer) see the battery's calls.
 _SUITES = {
     "consistency": lambda cfg, reference, workers: _consistency_report(cfg.model),
-    "martingale": lambda cfg, reference, workers: martingale_check(
-        reference(), c_disc=cfg.checks.c_disc),
+    "martingale": lambda cfg, reference, workers: martingale_check(reference()),
     "covariance": lambda cfg, reference, workers: ou_covariance_check(
         SeedPolicy(cfg.master_seed).substream("verify-ou"), cfg.grid, cfg.model.gamma,
         cfg.checks.covariance_n_paths, _covariance_nodes(cfg.grid), workers=workers),
-    "mean_equation": lambda cfg, reference, workers: mean_equation_residual(
-        cfg.model, reference(), c_fd=cfg.checks.c_fd),
+    "mean_equation": lambda cfg, reference, workers: mean_equation_residual(cfg.model, reference()),
     "girsanov": lambda cfg, reference, workers: _girsanov_report(cfg, reference(), workers),
     "lindblad_oracle": lambda cfg, reference, workers: _lindblad_oracle_report(cfg, reference()),
 }

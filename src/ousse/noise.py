@@ -31,6 +31,7 @@ or the stream they are drawn from, and steps X from them.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,16 @@ def _mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _index(v, what: str) -> int:
+    """``v`` as an int: any integer, numpy's included, but no bool and no float."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid ``t_k = k dt`` for ``k = 0 .. n_steps``."""
@@ -76,6 +87,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
+        object.__setattr__(self, "n_steps", _index(self.n_steps, "n_steps"))
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps!r}")
 

@@ -20,7 +20,6 @@ work in them, while the complex vec form here stays the reference.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .linalg import _fit_state, _require_hermitian, as_operator, dagger, matrix_
 from .noise import _check_gamma
 
 __all__ = [
-    "Liouvillian",
     "build_liouvillian",
     "generator_coefficients",
     "drift_coefficients",
@@ -129,15 +127,6 @@ def _right(a: np.ndarray) -> np.ndarray:
     return np.kron(a.T, np.eye(a.shape[0]))
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    matrix: np.ndarray          # (d^2, d^2) acting on column-stacked matrices
-    dim: int
-
-    def apply(self, rho) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
-
-
 def generator_coefficients(h_coeffs, b_coeffs) -> tuple:
     """Vec-form coefficients ``G_j`` with ``vec(L(x) rho) = sum_j x^j G_j vec(rho)``.
 
@@ -176,10 +165,11 @@ def flow_coefficients(b_coeffs) -> tuple:
     return tuple(_left(b) + _right(dagger(b)) for b in b_coeffs)
 
 
-def build_liouvillian(h, b) -> Liouvillian:
-    """Matrix form of ``rho -> -i[H,rho] - 1/2 {B^dag B, rho} + B rho B^dag``.
+def build_liouvillian(h, b) -> np.ndarray:
+    """The ``(d^2, d^2)`` matrix M with ``vec(L rho) = M vec(rho)``.
 
-    Constant operators only: this is the generator of the closed mean
+    ``L rho = -i[H,rho] - 1/2 {B^dag B, rho} + B rho B^dag``, for
+    constant operators only: this is the generator of the closed mean
     equation in the memoryless limit and of the constant-B case, used
     as the deterministic cross-check for trajectory averages.
     """
@@ -187,15 +177,21 @@ def build_liouvillian(h, b) -> Liouvillian:
     b = as_operator(b)
     if h.shape != b.shape:
         raise ValidationError(f"H shape {h.shape} != B shape {b.shape}")
-    return Liouvillian(generator_coefficients((h,), (b,))[0], h.shape[0])
+    return generator_coefficients((h,), (b,))[0]
 
 
-def propagate_lindblad(liou: Liouvillian, rho0, t: float) -> np.ndarray:
-    """``unvec(exp(t M) vec(rho0))``; trace-preserving by construction."""
+def propagate_lindblad(liou: np.ndarray, rho0, t: float) -> np.ndarray:
+    """``unvec(exp(t M) vec(rho0))`` for the matrix ``M = liou`` of ``build_liouvillian``.
+
+    Trace-preserving by construction.
+    """
     if t < 0.0:
         raise ValidationError(f"time must be >= 0, got {t!r}")
-    rho0 = _fit_state(rho0, True, liou.dim, "state")
-    return unvec(matrix_exp(t * liou.matrix) @ vec(rho0), liou.dim)
+    dim = math.isqrt(len(liou))
+    if np.shape(liou) != (dim * dim, dim * dim):
+        raise ValidationError(f"expected a (d^2, d^2) matrix, got shape {np.shape(liou)}")
+    rho0 = _fit_state(rho0, True, dim, "state")
+    return unvec(matrix_exp(t * liou) @ vec(rho0), dim)
 
 
 def dephasing_coherence(t, gamma: float):

@@ -83,7 +83,7 @@ def test_criterion_02_martingale_weight():
         m = make_measurement_model(0.5 * sigma_z, sigma_minus, 1.0)
         grid = TimeGrid(1e-3, 1000)
         est = run_ensemble(m, grid, 10**4, SeedPolicy(202), "linear", E0)
-        report = martingale_check(est, c_disc=5.0)
+        report = martingale_check(est)
         assert report.passed
         for e in report.entries:
             assert e.statistic <= e.threshold
@@ -172,7 +172,7 @@ def test_criterion_07_girsanov_crosscheck():
                                  "linear", E0, output_nodes=nodes)
         physical = run_ensemble(m, grid, 10**4, seeds.substream("girsanov-physical"),
                                 "nonlinear", E0, output_nodes=nodes)
-        report = girsanov_crosscheck(reference, physical, sigma_z, c_disc=5.0)
+        report = girsanov_crosscheck(reference, physical, sigma_z)
         assert report.passed
         for e in report.entries:
             assert e.statistic <= e.threshold

@@ -262,7 +262,7 @@ def test_density_gates_take_non_contiguous_matrices():
     dw = 0.1 * np.sin(np.arange(10.0))
     a = propagate("sme", np.asfortranarray(rho), dw, m, grid)
     b = propagate("sme", rho, dw, m, grid)
-    assert np.array_equal(a.matrices, b.matrices)
+    assert np.array_equal(a.states, b.states)
 
 
 def test_density_initials_are_density_matrices():
@@ -327,7 +327,7 @@ def test_step_is_row_one_of_propagate(mode, kind):
     dt, dw = 1e-2, 0.07
     got, mv = step(mode, initial, 0.0, dw, dt, m)
     traj = propagate(mode, initial, [dw], m, TimeGrid(dt, 1))
-    want = traj.matrices[1] if density else traj.states[1]
+    want = traj.states[1]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     if mode in dynamics.PHYSICAL_MODES:
         assert np.float64(mv).tobytes() == traj.m_record[0].tobytes()
@@ -391,8 +391,7 @@ def test_propagate_zero_model_all_modes():
     for mode, init in [("linear", PLUS), ("nonlinear", PLUS),
                        ("density_linear", outer(PLUS)), ("sme", outer(PLUS))]:
         traj = propagate(mode, init, dw, m, grid)
-        final = traj.states[-1] if init.ndim == 1 else traj.matrices[-1]
-        assert np.allclose(final, init, atol=1e-13)
+        assert np.allclose(traj.states[-1], init, atol=1e-13)
 
 
 def test_propagate_noise_forms_agree():
@@ -436,6 +435,22 @@ def test_propagate_density_mode_x_replay(mode):
         assert np.array_equal(traj.X, ou_path(dw, 0.9, grid, traj.m_record))
     else:
         assert np.array_equal(traj.X, ou_path(dw, 0.9, grid))
+
+
+@pytest.mark.parametrize("mode", ["density_linear", "sme"])
+def test_density_trajectory_weights_are_its_traces(mode):
+    # one Trajectory type: a density path carries its matrices as states and their
+    # traces as weights, as a vector path carries its squared norms
+    grid = TimeGrid(1e-2, 40)
+    m = make_measurement_model(0.5 * sigma_z, sigma_minus, 0.9)
+    dw = sample_wiener(grid, SeedPolicy(35).stream(0))
+    traj = propagate(mode, outer(PLUS), dw, m, grid)
+    assert traj.states.shape == (41, 2, 2) and traj.weights.shape == (41,)
+    assert np.array_equal(traj.weights, np.trace(traj.states, axis1=1, axis2=2).real)
+    if mode == "sme":
+        assert np.allclose(traj.weights, 1.0, atol=1e-12)
+    else:
+        assert np.ptp(traj.weights) > 1e-3
 
 
 def test_propagate_linear_tracks_commuting_solution():
@@ -605,7 +620,7 @@ def test_propagate_path_matches_reference_steps(mode, kind, seed):
         dw = rng.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
         psi = random_unit_state(rng, m.dim)
         traj = propagate(mode, outer(psi) if density else psi, dw, m, grid)
-        path = traj.matrices if density else traj.states
+        path = traj.states
         for k in range(grid.n_steps):
             x = float(traj.X[k])
             if density:

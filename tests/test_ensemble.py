@@ -288,7 +288,7 @@ def _assert_matches_scalar(mode, m, initial, seed, n_traj=3):
     etas, mems, gens, ws = [], [], [], []
     for i in range(n_traj):
         traj = propagate(mode, initial, sample_wiener(grid, seeds.stream(i)), m, grid)
-        rhos = [traj.matrices[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
+        rhos = [traj.states[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
                 for k in nodes]
         etas.append(rhos)
         mems.append([traj.X[k] * r for k, r in zip(nodes, rhos)])
@@ -349,7 +349,7 @@ def test_density_outputs_are_exactly_hermitian(mode, kind):
     grid = TimeGrid(0.0025, 100)
     est = run_ensemble(m, grid, 64, SeedPolicy(14), mode, rho0)
     traj = propagate(mode, rho0, SeedPolicy(14).stream(0), m, grid)
-    for mats in (est.eta, est.memory_term, est.generator_mean, traj.matrices):
+    for mats in (est.eta, est.memory_term, est.generator_mean, traj.states):
         assert np.array_equal(mats, np.conj(mats.transpose(0, 2, 1)))
         assert np.all(np.diagonal(mats, axis1=1, axis2=2).imag == 0.0)
     for se in (est.eta_stderr, est.memory_term_stderr, est.generator_mean_stderr):
@@ -395,7 +395,7 @@ def test_every_mode_matches_scalar_sample_statistics(mode, kind):
     rhos, mems, gens = [], [], []
     for i in range(n_traj):
         traj = propagate(mode, initial, sample_wiener(grid, seeds.stream(i)), m, grid)
-        rows = [traj.matrices[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
+        rows = [traj.states[k] if mode in ("density_linear", "sme") else outer(traj.states[k])
                 for k in nodes]
         rhos.append(rows)
         mems.append([traj.X[k] * r for k, r in zip(nodes, rows)])
@@ -482,6 +482,22 @@ def test_validation():
         run_ensemble(mm, grid, 4, SeedPolicy(0), "density_linear", 2.0 * outer(PLUS))
     with pytest.raises(ValidationError, match="nodes"):
         run_ensemble(m, grid, 4, SeedPolicy(0), "linear", PLUS, output_nodes=[0, 11])
+
+
+def test_counts_and_nodes_are_integers():
+    # a float or bool count or node names itself; numpy integers pass
+    grid = TimeGrid(0.1, 10)
+    m = dephasing_model()
+    for n_traj in (2.5, 4.0, True):
+        with pytest.raises(ValidationError, match=rf"^n_traj must be an integer, got {n_traj!r}$"):
+            run_ensemble(m, grid, n_traj, SeedPolicy(0), "linear", PLUS)
+    for node in (1.7, 3.0, False):
+        with pytest.raises(ValidationError,
+                           match=rf"^output node must be an integer, got {node!r}$"):
+            run_ensemble(m, grid, 4, SeedPolicy(0), "linear", PLUS, output_nodes=[node, 3])
+    est = run_ensemble(m, grid, np.int64(4), SeedPolicy(0), "linear", PLUS,
+                       output_nodes=np.array([1, 3]))
+    assert est.n_traj == 4 and est.node_indices.tolist() == [1, 3]
 
 
 def test_empty_output_nodes_are_rejected():
@@ -660,13 +676,14 @@ def test_mean_equation_needs_interior_nodes():
 
 
 
-def test_mean_equation_entry_is_its_worst_element():
-    # at a small c_fd some nodes pass and some fail; each entry reports the element
+def test_mean_equation_entry_is_its_worst_element(monkeypatch):
+    # at a small allowance some nodes pass and some fail; each entry reports the element
     # closest to (or past) its threshold and passes only when every element does
+    monkeypatch.setattr(ensemble, "_C_FD", 1.0)
     m = make_measurement_model(2.0 * sigma_z, sigma_minus, 1.0)
     est = run_ensemble(m, TimeGrid(1e-2, 100), 200, SeedPolicy(24), "linear", PLUS,
                        output_nodes=list(range(0, 101, 10)))
-    report = mean_equation_residual(m, est, c_fd=1.0)
+    report = mean_equation_residual(m, est)
     assert {e.passed for e in report.entries} == {True, False}
     assert report.passed == all(e.passed for e in report.entries)
     assert len(report.entries) == est.times.size - 2

@@ -31,6 +31,15 @@ def test_time_grid():
         TimeGrid(0.1, 0)
 
 
+def test_time_grid_step_count_is_an_integer():
+    # numpy integers pass as Python ints; a float or a bool names itself
+    g = TimeGrid(0.01, np.int64(10))
+    assert type(g.n_steps) is int and g == TimeGrid(0.01, 10)
+    for n in (10.5, 10.0, True, np.bool_(True), "10"):
+        with pytest.raises(ValidationError, match=rf"^n_steps must be an integer, got {n!r}$"):
+            TimeGrid(0.01, n)
+
+
 def test_time_grid_spanning_and_node():
     g = TimeGrid.spanning(0.01, 0.31)
     assert (g.dt, g.n_steps) == (0.01, 31)
